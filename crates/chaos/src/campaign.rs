@@ -110,6 +110,9 @@ struct Rig {
     params: PipelineParams,
     rng: SimRng,
     tracker: ScoreTracker,
+    /// `chaos.inject.<kind>` / `chaos.restore.<kind>` trace-point names,
+    /// indexed `[kind][phase]`, each formatted the first time it is used.
+    point_names: Vec<[Option<String>; 2]>,
 }
 
 const INGEST_FILE_BYTES: u64 = 1 << 20;
@@ -218,6 +221,7 @@ impl Rig {
             params,
             rng: SimRng::new(seed ^ 0x04),
             tracker: ScoreTracker::new("campaign"),
+            point_names: Vec::new(),
         }
     }
 
@@ -226,12 +230,24 @@ impl Rig {
         brick / (self.volume.brick_count() / self.volume.replica_sets())
     }
 
+    fn point_name(&mut self, kind: FaultKind, phase: Phase) -> &str {
+        let (slot, verb) = match phase {
+            Phase::Inject => (0, "inject"),
+            Phase::Restore => (1, "restore"),
+        };
+        let k = kind as usize;
+        if self.point_names.len() <= k {
+            self.point_names.resize_with(k + 1, Default::default);
+        }
+        self.point_names[k][slot].get_or_insert_with(|| format!("chaos.{verb}.{}", kind.label()))
+    }
+
     fn apply(&mut self, action: &TimedAction, plan: &FaultPlan, tele: &Telemetry) {
         let ev = &plan.events[action.event];
         let at = action.at;
+        tele.point(self.point_name(ev.kind, action.phase), at, 1.0);
         match action.phase {
             Phase::Inject => {
-                tele.point(&format!("chaos.inject.{}", ev.kind.label()), at, 1.0);
                 match ev.kind {
                     FaultKind::LinkDown | FaultKind::LinkFlap => {
                         self.net.inject(ev, at).expect("known link");
@@ -298,7 +314,6 @@ impl Rig {
                 }
             }
             Phase::Restore => {
-                tele.point(&format!("chaos.restore.{}", ev.kind.label()), at, 1.0);
                 match ev.kind {
                     FaultKind::LinkDown | FaultKind::LinkFlap => {
                         self.net.restore(ev, at).expect("known link");

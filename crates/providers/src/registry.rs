@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use osdc_sim::{SimDuration, SimRng, SimTime, TenantId, TenantInterner, TenantStore};
-use osdc_telemetry::Telemetry;
+use osdc_telemetry::{CounterId, HistogramId, LazyId, Telemetry};
 
 use crate::canonical::{AliasTables, CanonicalRequest, CanonicalResponse, ProviderError};
 use crate::pricing::PricingCatalog;
@@ -147,12 +147,25 @@ struct Entry {
     provider: Box<dyn Provider>,
     catalog: PricingCatalog,
     health: ApiHealth,
+    ids: ProviderIds,
+}
+
+/// One provider's `providers.<name>.*` metric ids, each interned the first
+/// time `call` records it.
+#[derive(Default)]
+struct ProviderIds {
+    calls: LazyId<CounterId>,
+    errors: LazyId<CounterId>,
+    lost_responses: LazyId<CounterId>,
+    timeouts: LazyId<CounterId>,
+    latency_ms: LazyId<HistogramId>,
 }
 
 /// The pluggable provider runtime's front door.
 pub struct ProviderRegistry {
     entries: Vec<Entry>,
-    pub tele: Telemetry,
+    /// Fixed at construction: the entries' cached metric ids belong to it.
+    pub(crate) tele: Telemetry,
     rng: SimRng,
     ledger: UsageLedger,
     last_latency: SimDuration,
@@ -179,6 +192,7 @@ impl ProviderRegistry {
             provider,
             catalog,
             health: ApiHealth::default(),
+            ids: ProviderIds::default(),
         });
     }
 
@@ -281,9 +295,11 @@ impl ProviderRegistry {
         let entry = &mut self.entries[idx];
         let pname = entry.provider.name().to_string();
         let desc = entry.provider.descriptor();
+        let ids = &entry.ids;
+        let metric = |m: &str| format!("providers.{pname}.{m}");
 
         self.tele
-            .incr(self.tele.counter(&format!("providers.{pname}.calls")));
+            .incr(ids.calls.counter(&self.tele, || metric("calls")));
         {
             let usage = self.ledger.provider_mut(&pname);
             usage.calls += 1;
@@ -294,7 +310,7 @@ impl ProviderRegistry {
         if entry.health.outage {
             self.last_latency = SimDuration::ZERO;
             self.tele
-                .incr(self.tele.counter(&format!("providers.{pname}.errors")));
+                .incr(ids.errors.counter(&self.tele, || metric("errors")));
             self.ledger.provider_mut(&pname).errors += 1;
             return Err(ProviderError::Outage { provider: pname });
         }
@@ -304,21 +320,21 @@ impl ProviderRegistry {
                 // The backend did the work; only the reply is lost.
                 let _ = entry.provider.call(user, req, now);
                 self.tele.incr(
-                    self.tele
-                        .counter(&format!("providers.{pname}.lost_responses")),
+                    ids.lost_responses
+                        .counter(&self.tele, || metric("lost_responses")),
                 );
                 self.ledger.provider_mut(&pname).lost_responses += 1;
             }
             self.last_latency = entry.health.timeout;
             self.tele
-                .incr(self.tele.counter(&format!("providers.{pname}.timeouts")));
+                .incr(ids.timeouts.counter(&self.tele, || metric("timeouts")));
             self.ledger.provider_mut(&pname).timeouts += 1;
             return Err(ProviderError::Timeout { provider: pname });
         }
         if entry.health.error_prob > 0.0 && self.rng.chance(entry.health.error_prob) {
             self.last_latency = desc.api_latency;
             self.tele
-                .incr(self.tele.counter(&format!("providers.{pname}.errors")));
+                .incr(ids.errors.counter(&self.tele, || metric("errors")));
             self.ledger.provider_mut(&pname).errors += 1;
             return Err(ProviderError::Api { provider: pname });
         }
@@ -334,9 +350,9 @@ impl ProviderRegistry {
             _ => 1,
         };
         self.last_latency = desc.api_latency * pages as u64;
-        let hist = self
-            .tele
-            .histogram(&format!("providers.{pname}.latency_ms"));
+        let hist = ids
+            .latency_ms
+            .histogram(&self.tele, || metric("latency_ms"));
         self.tele
             .observe(hist, self.last_latency.as_nanos() as f64 / 1.0e6);
 
@@ -351,7 +367,7 @@ impl ProviderRegistry {
             }
             Err(_) => {
                 self.tele
-                    .incr(self.tele.counter(&format!("providers.{pname}.errors")));
+                    .incr(ids.errors.counter(&self.tele, || metric("errors")));
                 self.ledger.provider_mut(&pname).errors += 1;
             }
         }

@@ -18,9 +18,18 @@
 //! * **Tracing** — spans on the **simulation clock** ([`SimTime`], never
 //!   wall time), with nesting via an open-span stack, ordered per-span
 //!   attributes, instant `point` samples, all in a bounded ring buffer.
+//!   Names are interned into a per-collector table with one lookup, and
+//!   ring events are plain `Copy` data carrying `u32` name ids, so
+//!   recording into a full ring allocates nothing.
+//! * **Shard merging** — [`run_sharded`] folds per-scenario collectors
+//!   into the parent in submission order, copying from each shard only
+//!   the tail of events that can survive in the parent ring; the events
+//!   it skips count as dropped, so the result is the same as appending
+//!   every event one by one.
 //! * **Exporters** — a JSONL trace/metric dump (byte-identical across
 //!   same-seed runs; a tested invariant) and a human-readable federation
-//!   ops report.
+//!   ops report. Event lines are formatted only at export, written
+//!   straight into the output with each name escaped once.
 //!
 //! A [`Telemetry`] handle is cheap to clone (an `Arc`) and has a global
 //! no-op mode: [`Telemetry::disabled`] carries no state at all, every
@@ -39,8 +48,8 @@ mod export;
 mod metrics;
 mod trace;
 
-pub use metrics::{CounterId, GaugeId, HistogramId, HistogramSnapshot, MetricShard};
-pub use trace::{AttrValue, SpanId, TraceEvent, DEFAULT_RING_CAPACITY};
+pub use metrics::{CounterId, GaugeId, HistogramId, HistogramSnapshot, LazyId, MetricShard};
+pub use trace::{AttrValue, SpanId, DEFAULT_RING_CAPACITY};
 
 use metrics::MetricsCore;
 use trace::TraceCore;
@@ -295,24 +304,50 @@ impl Telemetry {
     /// ids already issued here), counters add, gauges take the other's
     /// value, histograms merge.
     ///
-    /// This is the submission-order merge behind [`run_sharded`]: each grid
-    /// scenario records into a private registry, and the parent absorbs the
-    /// registries in submission order after the pool drains. Absorbing in
-    /// that order reproduces the stream a single shared collector would
-    /// have recorded from the same scenarios run serially, which is what
-    /// keeps `--trace` artifacts byte-identical for any `--jobs N`.
+    /// This is the one-shard case of the submission-order merge behind
+    /// [`run_sharded`]: each grid scenario records into a private registry,
+    /// and the parent absorbs the registries in submission order after the
+    /// pool drains. Absorbing in that order reproduces the stream a single
+    /// shared collector would have recorded from the same scenarios run
+    /// serially, which is what keeps `--trace` artifacts byte-identical for
+    /// any `--jobs N`.
     ///
     /// A disabled side (either one) makes this a no-op, as does absorbing a
     /// collector into itself.
     pub fn absorb(&self, other: &Telemetry) {
-        let (Some(a), Some(b)) = (&self.inner, &other.inner) else {
+        self.absorb_all(std::slice::from_ref(other));
+    }
+
+    /// [`Telemetry::absorb`] each of `shards` in order, copying from each
+    /// only the trace events that can still be in this ring once the later
+    /// shards have been appended. The events left out are the ones an
+    /// event-by-event append would push and then evict again; they count
+    /// as dropped, so the ring, `dropped_events` and every export come out
+    /// the same as absorbing the shards one event at a time.
+    fn absorb_all(&self, shards: &[Telemetry]) {
+        let Some(a) = &self.inner else {
             return;
         };
-        if Arc::ptr_eq(a, b) {
-            return;
+        // Disabled shards and this collector itself contribute nothing.
+        fn live<'s>(a: &Arc<Inner>, t: &'s Telemetry) -> Option<&'s Arc<Inner>> {
+            t.inner.as_ref().filter(|b| !Arc::ptr_eq(a, b))
         }
-        a.trace.lock().absorb(&b.trace.lock());
-        a.metrics.lock().absorb(&b.metrics.lock());
+        let mut later: usize = shards
+            .iter()
+            .filter_map(|t| live(a, t))
+            .map(|b| b.trace.lock().events.len())
+            .sum();
+        let mut trace = a.trace.lock();
+        let mut metrics = a.metrics.lock();
+        for b in shards.iter().filter_map(|t| live(a, t)) {
+            let other = b.trace.lock();
+            // Saturating: a shard still being recorded into may have grown
+            // since the sum, and keeping extra events is always safe.
+            later = later.saturating_sub(other.events.len());
+            let keep = other.events.len().min(trace.capacity.saturating_sub(later));
+            trace.absorb_tail(&other, keep);
+            metrics.absorb(&b.metrics.lock());
+        }
     }
 
     // ---- exporters ---------------------------------------------------------
@@ -361,7 +396,9 @@ impl Telemetry {
 /// happens on the calling thread after the pool drains — never
 /// concurrently — the parent's exported JSONL and ops report are
 /// byte-identical for any `jobs`, including the inline serial path at
-/// `jobs == 1`.
+/// `jobs == 1`. With every shard in hand, the merge copies only the
+/// trace events that survive in the parent ring (see
+/// [`Telemetry::absorb`]); a disabled parent skips it altogether.
 pub fn run_sharded<T, F>(jobs: usize, parent: &Telemetry, tasks: Vec<F>) -> Vec<T>
 where
     T: Send,
@@ -382,14 +419,12 @@ where
             }
         })
         .collect();
-    osdc_sim::runner::Runner::new(jobs)
-        .run(sharded)
-        .into_iter()
-        .map(|(tele, r)| {
-            parent.absorb(&tele);
-            r
-        })
-        .collect()
+    let done = osdc_sim::runner::Runner::new(jobs).run(sharded);
+    let (shards, results): (Vec<Telemetry>, Vec<T>) = done.into_iter().unzip();
+    if live {
+        parent.absorb_all(&shards);
+    }
+    results
 }
 
 /// RAII wrapper around a [`MetricShard`]: deref to record, merge-on-drop.
@@ -766,6 +801,113 @@ mod tests {
             parent.absorb(&t);
         }
         assert_eq!(parent.export_jsonl(), run_live());
+    }
+
+    /// Record roughly `n` events of every kind into `t` — spans (some
+    /// nested), attrs, points — closing every span it opens, plus a
+    /// counter, a gauge and a histogram sample.
+    fn record(t: &Telemetry, n: usize, salt: usize) {
+        let mut open = Vec::new();
+        let at = |i: usize| SimTime((salt * 1_000 + i) as u64);
+        for i in 0..n {
+            match (i + salt) % 4 {
+                0 => open.push(t.span_start(&format!("op{}", (i + salt) % 3), at(i))),
+                1 => {
+                    let span = open.last().copied().unwrap_or(SpanId::NONE);
+                    t.attr(span, "shard", format!("s{salt}"));
+                }
+                2 => t.point(&format!("p{}", i % 2), at(i), i as f64 * 0.5),
+                _ => {
+                    if let Some(s) = open.pop() {
+                        t.span_end(s, at(i));
+                    }
+                }
+            }
+        }
+        while let Some(s) = open.pop() {
+            t.span_end(s, at(n));
+        }
+        t.add(t.counter("events"), n as u64);
+        t.set_gauge(t.gauge("last_salt"), salt as f64);
+        t.observe(t.histogram("size"), n as f64);
+    }
+
+    /// The event-by-event reference merge: every event of `shard` is
+    /// pushed through the ring, evictions and all.
+    fn absorb_one_by_one(parent: &Telemetry, shard: &Telemetry) {
+        let (a, b) = (
+            parent.inner.as_ref().unwrap(),
+            shard.inner.as_ref().unwrap(),
+        );
+        let other = b.trace.lock();
+        a.trace.lock().absorb_tail(&other, other.events.len());
+        a.metrics.lock().absorb(&b.metrics.lock());
+    }
+
+    /// Both collectors' exports, after opening one more span in each so a
+    /// renumbering difference shows.
+    fn settle(t: &Telemetry) -> (String, String) {
+        let s = t.span_start("after", SimTime(u64::MAX));
+        t.span_end(s, SimTime(u64::MAX));
+        (t.export_jsonl(), t.ops_report())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn tail_merge_matches_event_by_event_absorb(
+            cap in 1usize..12,
+            pre in 0usize..8,
+            shards in proptest::collection::vec((0usize..30, 1usize..24), 0..7),
+        ) {
+            // Each shard: an event count below, at or above the parent's
+            // capacity, and its own ring capacity, often small enough that
+            // the shard dropped events itself.
+            let shards: Vec<Telemetry> = shards
+                .iter()
+                .enumerate()
+                .map(|(i, &(n, shard_cap))| {
+                    let t = Telemetry::with_ring_capacity(shard_cap);
+                    record(&t, n, i + 1);
+                    t
+                })
+                .collect();
+            let reference = Telemetry::with_ring_capacity(cap);
+            let merged = Telemetry::with_ring_capacity(cap);
+            for t in [&reference, &merged] {
+                record(t, pre, 0);
+            }
+            for s in &shards {
+                absorb_one_by_one(&reference, s);
+            }
+            merged.absorb_all(&shards);
+            proptest::prop_assert_eq!(settle(&merged), settle(&reference));
+        }
+
+        #[test]
+        fn run_sharded_equals_serial_recording_for_any_jobs(
+            cap in 1usize..40,
+            pre in 0usize..8,
+            sizes in proptest::collection::vec(0usize..50, 0..9),
+        ) {
+            let serial = Telemetry::with_ring_capacity(cap);
+            record(&serial, pre, 0);
+            for (i, &n) in sizes.iter().enumerate() {
+                record(&serial, n, i + 1);
+            }
+            let expected = settle(&serial);
+            for jobs in [1, 2, 8] {
+                let parent = Telemetry::with_ring_capacity(cap);
+                record(&parent, pre, 0);
+                let tasks: Vec<_> = sizes
+                    .iter()
+                    .map(|&n| move |t: &Telemetry, i: usize| record(t, n, i + 1))
+                    .collect();
+                run_sharded(jobs, &parent, tasks);
+                proptest::prop_assert_eq!(settle(&parent), expected.clone(), "jobs={}", jobs);
+            }
+        }
     }
 
     struct Relay(u32);

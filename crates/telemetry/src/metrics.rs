@@ -7,9 +7,12 @@
 //! plain `Vec` index with no lock and no allocation at all, merged into
 //! the shared registry when the shard guard drops.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use osdc_sim::stats::Log2Histogram;
+
+use crate::Telemetry;
 
 /// Handle to a named monotonic counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -22,6 +25,47 @@ pub struct GaugeId(pub(crate) u32);
 /// Handle to a named power-of-two-bucket histogram.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct HistogramId(pub(crate) u32);
+
+/// A metric id interned on first use and reused after. The name is
+/// registered at the moment an uncached `Telemetry::counter(name)` call
+/// would have registered it, so registration order — and with it every
+/// export — is unchanged; later calls skip formatting the name, the
+/// registry lock and the lookup. An id belongs to one [`Telemetry`], so
+/// a holder that swaps its handle must reset its `LazyId`s too.
+pub struct LazyId<I>(Cell<Option<I>>);
+
+impl<I> Default for LazyId<I> {
+    fn default() -> Self {
+        LazyId(Cell::new(None))
+    }
+}
+
+impl<I: Copy> LazyId<I> {
+    fn get_or(&self, intern: impl FnOnce() -> I) -> I {
+        if let Some(id) = self.0.get() {
+            return id;
+        }
+        let id = intern();
+        self.0.set(Some(id));
+        id
+    }
+}
+
+impl LazyId<CounterId> {
+    pub fn counter<S: AsRef<str>>(&self, tele: &Telemetry, name: impl FnOnce() -> S) -> CounterId {
+        self.get_or(|| tele.counter(name().as_ref()))
+    }
+}
+
+impl LazyId<HistogramId> {
+    pub fn histogram<S: AsRef<str>>(
+        &self,
+        tele: &Telemetry,
+        name: impl FnOnce() -> S,
+    ) -> HistogramId {
+        self.get_or(|| tele.histogram(name().as_ref()))
+    }
+}
 
 /// One kind's name table plus value slots, indexed by id.
 #[derive(Debug, Default)]

@@ -8,8 +8,14 @@
 //! single-threaded), carry ordered key/value attributes, and everything
 //! lands in a bounded ring buffer: when it fills, the oldest events are
 //! dropped and counted, never reallocated.
+//!
+//! Ring events are plain `Copy` data: span, point and attribute names
+//! (and string attribute values) are interned into a per-collector name
+//! table and stored as `u32` ids, so recording allocates nothing once a
+//! name has been seen, evicting an event frees nothing, and formatting
+//! happens only at export.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use osdc_sim::SimTime;
 
@@ -74,13 +80,63 @@ impl From<String> for AttrValue {
     }
 }
 
-/// One entry in the ring-buffered event log.
-#[derive(Clone, Debug)]
-pub enum TraceEvent {
+/// Index of a string in a [`TraceCore`]'s name table.
+pub(crate) type NameId = u32;
+
+/// A collector's interned span, point and attribute names. Recording
+/// resolves a name with one hash lookup and stores only its id, so ring
+/// events stay plain `Copy` data; the strings themselves are looked up
+/// again only at export.
+#[derive(Debug, Default)]
+pub(crate) struct Names {
+    index: HashMap<Box<str>, NameId>,
+    names: Vec<Box<str>>,
+}
+
+impl Names {
+    /// Idempotent name → id interning.
+    pub(crate) fn intern(&mut self, name: &str) -> NameId {
+        if let Some(&id) = self.index.get(name) {
+            return id;
+        }
+        let id = self.names.len() as NameId;
+        self.index.insert(name.into(), id);
+        self.names.push(name.into());
+        id
+    }
+
+    pub(crate) fn get(&self, id: NameId) -> &str {
+        &self.names[id as usize]
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> {
+        self.names.iter().map(|n| &**n)
+    }
+
+    fn len(&self) -> usize {
+        self.names.len()
+    }
+}
+
+/// An attribute value as the ring stores it: [`AttrValue`] with strings
+/// interned into the name table.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum EventValue {
+    U64(u64),
+    I64(i64),
+    F64(f64),
+    Bool(bool),
+    Str(NameId),
+}
+
+/// One entry in the ring-buffered event log. Names are ids into the
+/// owning core's [`Names`]; a root span's `parent` is [`SpanId::NONE`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum TraceEvent {
     SpanStart {
         id: SpanId,
-        parent: Option<SpanId>,
-        name: String,
+        parent: SpanId,
+        name: NameId,
         t: SimTime,
     },
     SpanEnd {
@@ -89,13 +145,13 @@ pub enum TraceEvent {
     },
     Attr {
         span: SpanId,
-        key: String,
-        value: AttrValue,
+        key: NameId,
+        value: EventValue,
     },
     /// A `(name, t, value)` sample — per-flow throughput traces and the
     /// like.
     Point {
-        name: String,
+        name: NameId,
         t: SimTime,
         value: f64,
     },
@@ -106,13 +162,20 @@ pub enum TraceEvent {
 /// letting a runaway emitter grow memory unboundedly.
 pub const DEFAULT_RING_CAPACITY: usize = 131_072;
 
+/// Marks a name of an absorbed core not yet interned here.
+const UNMAPPED: NameId = NameId::MAX;
+
 #[derive(Debug)]
 pub(crate) struct TraceCore {
     next_span: u64,
     stack: Vec<SpanId>,
     pub(crate) events: VecDeque<TraceEvent>,
-    capacity: usize,
+    pub(crate) names: Names,
+    pub(crate) capacity: usize,
     pub(crate) dropped: u64,
+    /// [`TraceCore::absorb_tail`]'s scratch: the absorbed core's name ids
+    /// mapped to this core's, filled as the names are first met.
+    remap: Vec<NameId>,
 }
 
 impl Default for TraceCore {
@@ -127,8 +190,10 @@ impl TraceCore {
             next_span: 1, // 0 is SpanId::NONE
             stack: Vec::new(),
             events: VecDeque::new(),
+            names: Names::default(),
             capacity: capacity.max(1),
             dropped: 0,
+            remap: Vec::new(),
         }
     }
 
@@ -143,12 +208,13 @@ impl TraceCore {
     pub(crate) fn span_start(&mut self, name: &str, t: SimTime) -> SpanId {
         let id = SpanId(self.next_span);
         self.next_span += 1;
-        let parent = self.stack.last().copied();
+        let parent = self.stack.last().copied().unwrap_or(SpanId::NONE);
         self.stack.push(id);
+        let name = self.names.intern(name);
         self.push(TraceEvent::SpanStart {
             id,
             parent,
-            name: name.to_string(),
+            name,
             t,
         });
         id
@@ -164,77 +230,98 @@ impl TraceCore {
     }
 
     pub(crate) fn attr(&mut self, span: SpanId, key: &str, value: AttrValue) {
-        self.push(TraceEvent::Attr {
-            span,
-            key: key.to_string(),
-            value,
-        });
+        let key = self.names.intern(key);
+        let value = match value {
+            AttrValue::U64(n) => EventValue::U64(n),
+            AttrValue::I64(n) => EventValue::I64(n),
+            AttrValue::F64(x) => EventValue::F64(x),
+            AttrValue::Bool(b) => EventValue::Bool(b),
+            AttrValue::Str(s) => EventValue::Str(self.names.intern(&s)),
+        };
+        self.push(TraceEvent::Attr { span, key, value });
     }
 
     pub(crate) fn point(&mut self, name: &str, t: SimTime, value: f64) {
-        self.push(TraceEvent::Point {
-            name: name.to_string(),
-            t,
-            value,
-        });
+        let name = self.names.intern(name);
+        self.push(TraceEvent::Point { name, t, value });
     }
 
     pub(crate) fn current_span(&self) -> Option<SpanId> {
         self.stack.last().copied()
     }
 
-    /// Append another core's event stream onto this one, in that core's
-    /// recording order, renumbering span ids past the ids already issued
-    /// here. This is the submission-order merge behind the parallel
-    /// scenario runner: per-scenario rings absorbed one after another
-    /// reproduce the very stream a single shared ring would have recorded
-    /// from the same scenarios run serially (span ids are contiguous per
-    /// scenario in both cases). Ring capacity and drop accounting apply to
-    /// each appended event exactly as if it had been recorded live.
-    pub(crate) fn absorb(&mut self, other: &TraceCore) {
+    /// Append the last `keep` events of another core's stream onto this
+    /// one, in that core's recording order, renumbering span ids past the
+    /// ids already issued here and name ids into this core's table. The
+    /// `other.events.len() - keep` events left out count as dropped, so
+    /// calling this with `keep` equal to what would survive in the ring
+    /// leaves the same ring and the same `dropped` as appending every
+    /// event one by one.
+    ///
+    /// This is the submission-order merge behind the parallel scenario
+    /// runner: per-scenario rings absorbed one after another reproduce the
+    /// very stream a single shared ring would have recorded from the same
+    /// scenarios run serially (span ids are contiguous per scenario in
+    /// both cases). Ring capacity and drop accounting apply to each
+    /// appended event exactly as if it had been recorded live.
+    pub(crate) fn absorb_tail(&mut self, other: &TraceCore, keep: usize) {
         debug_assert!(
             other.stack.is_empty(),
             "absorbing a trace with open spans loses nesting"
         );
+        let skip = other.events.len() - keep;
+        self.dropped += other.dropped + skip as u64;
         let offset = self.next_span - 1; // span ids are 1-based
-        let remap = |id: SpanId| {
+        let span = |id: SpanId| {
             if id == SpanId::NONE {
                 id
             } else {
                 SpanId(id.0 + offset)
             }
         };
-        for ev in &other.events {
-            let remapped = match ev {
+        self.remap.clear();
+        self.remap.resize(other.names.len(), UNMAPPED);
+        for ev in other.events.range(skip..) {
+            let mut name = |id: NameId| {
+                let slot = &mut self.remap[id as usize];
+                if *slot == UNMAPPED {
+                    *slot = self.names.intern(other.names.get(id));
+                }
+                *slot
+            };
+            let remapped = match *ev {
                 TraceEvent::SpanStart {
                     id,
                     parent,
-                    name,
+                    name: n,
                     t,
                 } => TraceEvent::SpanStart {
-                    id: remap(*id),
-                    parent: parent.map(remap),
-                    name: name.clone(),
-                    t: *t,
+                    id: span(id),
+                    parent: span(parent),
+                    name: name(n),
+                    t,
                 },
-                TraceEvent::SpanEnd { id, t } => TraceEvent::SpanEnd {
-                    id: remap(*id),
-                    t: *t,
+                TraceEvent::SpanEnd { id, t } => TraceEvent::SpanEnd { id: span(id), t },
+                TraceEvent::Attr {
+                    span: s,
+                    key,
+                    value,
+                } => TraceEvent::Attr {
+                    span: span(s),
+                    key: name(key),
+                    value: match value {
+                        EventValue::Str(v) => EventValue::Str(name(v)),
+                        v => v,
+                    },
                 },
-                TraceEvent::Attr { span, key, value } => TraceEvent::Attr {
-                    span: remap(*span),
-                    key: key.clone(),
-                    value: value.clone(),
-                },
-                TraceEvent::Point { name, t, value } => TraceEvent::Point {
-                    name: name.clone(),
-                    t: *t,
-                    value: *value,
+                TraceEvent::Point { name: n, t, value } => TraceEvent::Point {
+                    name: name(n),
+                    t,
+                    value,
                 },
             };
             self.push(remapped);
         }
-        self.dropped += other.dropped;
         self.next_span += other.next_span - 1;
     }
 }

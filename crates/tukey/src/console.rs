@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use osdc_sim::{SimDuration, SimTime};
-use osdc_telemetry::Telemetry;
+use osdc_telemetry::{CounterId, HistogramId, LazyId, Telemetry};
 use serde_json::{json, Value};
 
 use crate::ark::ArkService;
@@ -63,6 +63,16 @@ pub struct TukeyConsole {
     enrolled: Vec<Identity>,
     next_token: u64,
     tele: Telemetry,
+    ids: ConsoleIds,
+}
+
+/// The console's metric ids, each interned on its first use.
+#[derive(Default)]
+struct ConsoleIds {
+    requests: LazyId<CounterId>,
+    request_latency_ms: LazyId<HistogramId>,
+    errors: LazyId<CounterId>,
+    logins: LazyId<CounterId>,
 }
 
 /// Modeled session-validation cost per console request (auth proxy hop).
@@ -84,6 +94,7 @@ impl TukeyConsole {
             enrolled: Vec::new(),
             next_token: 1,
             tele: Telemetry::disabled(),
+            ids: ConsoleIds::default(),
         }
     }
 
@@ -93,6 +104,7 @@ impl TukeyConsole {
     pub fn set_telemetry(&mut self, tele: Telemetry) {
         self.proxy.set_telemetry(tele.clone());
         self.tele = tele;
+        self.ids = ConsoleIds::default();
     }
 
     /// Close out a traced console request: aggregation span, root span end,
@@ -111,9 +123,12 @@ impl TukeyConsole {
         let end = after_translation + SimDuration::from_millis(items as u64);
         self.tele.span_end(agg, end);
         self.tele.span_end(root, end);
-        self.tele.incr(self.tele.counter("tukey.requests"));
+        self.tele
+            .incr(self.ids.requests.counter(&self.tele, || "tukey.requests"));
         self.tele.observe(
-            self.tele.histogram("tukey.request_latency_ms"),
+            self.ids
+                .request_latency_ms
+                .histogram(&self.tele, || "tukey.request_latency_ms"),
             end.saturating_since(started).as_secs_f64() * 1e3,
         );
     }
@@ -132,7 +147,8 @@ impl TukeyConsole {
             Ok(id) => Ok(id),
             Err(e) => {
                 self.tele.span_end(root, now + AUTH_LATENCY);
-                self.tele.incr(self.tele.counter("tukey.errors"));
+                self.tele
+                    .incr(self.ids.errors.counter(&self.tele, || "tukey.errors"));
                 Err(e)
             }
         }
@@ -159,7 +175,8 @@ impl TukeyConsole {
         assertion: &Assertion,
     ) -> Result<SessionToken, ConsoleError> {
         let id = self.auth.login_shibboleth(assertion)?;
-        self.tele.incr(self.tele.counter("tukey.logins"));
+        self.tele
+            .incr(self.ids.logins.counter(&self.tele, || "tukey.logins"));
         Ok(self.open_session(id))
     }
 
@@ -171,7 +188,8 @@ impl TukeyConsole {
         password: &str,
     ) -> Result<SessionToken, ConsoleError> {
         let id = self.auth.login_openid(provider, identifier_url, password)?;
-        self.tele.incr(self.tele.counter("tukey.logins"));
+        self.tele
+            .incr(self.ids.logins.counter(&self.tele, || "tukey.logins"));
         Ok(self.open_session(id))
     }
 
@@ -236,7 +254,8 @@ impl TukeyConsole {
             }
             Err(e) => {
                 self.tele.span_end(root, now + AUTH_LATENCY);
-                self.tele.incr(self.tele.counter("tukey.errors"));
+                self.tele
+                    .incr(self.ids.errors.counter(&self.tele, || "tukey.errors"));
                 Err(e.into())
             }
         }
@@ -261,7 +280,8 @@ impl TukeyConsole {
             }
             Err(e) => {
                 self.tele.span_end(root, now + AUTH_LATENCY);
-                self.tele.incr(self.tele.counter("tukey.errors"));
+                self.tele
+                    .incr(self.ids.errors.counter(&self.tele, || "tukey.errors"));
                 Err(e.into())
             }
         }
