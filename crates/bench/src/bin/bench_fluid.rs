@@ -11,30 +11,20 @@
 //! * `mixed_cc_4000_ticks`, `constant_run_until_90m`, `link_flap_partial`
 //!   — the solver-level microbenches.
 //!
-//! Each scenario runs under the reference per-tick solver and the default
-//! epoch solver; the snapshot records both times and the speedup. Because
-//! absolute wall times vary across machines, the CI regression gate
-//! compares **speedups**, which divide the machine out: a run fails when a
-//! scenario's measured epoch-vs-reference speedup drops below the
-//! checked-in baseline's speedup divided by 1.25. Speedups are clamped to
-//! 10x before comparison — beyond that the epoch side is sub-10ms and the
-//! ratio is timer noise, not signal; the gate's job is to catch the epoch
-//! path degrading back toward 1x, not to police a 300x ratio.
+//! Each scenario runs under the reference per-tick solver (the base
+//! side) and the default epoch solver (the fast side), and `--check`
+//! gates the speedups through [`osdc_bench::gate`] with a 10x cap:
+//! beyond it the epoch side is sub-10ms and the ratio is timer noise; the
+//! gate's job is to catch the epoch path degrading back toward 1x, not to
+//! police a 300x ratio.
 //!
-//! Usage:
-//!   bench_fluid                  run, print the table, write BENCH_fluid.json
-//!   bench_fluid --out <path>     write the snapshot elsewhere
-//!   bench_fluid --check <path>   also compare against a baseline snapshot,
-//!                                exiting 1 on a >25% speedup regression
-//!   bench_fluid --jobs <N>       run the e2e grid workloads on N runner
-//!                                workers. Defaults to 1 — unlike the
-//!                                experiment harnesses — because this
-//!                                binary's product is wall-clock time, and
-//!                                co-scheduled cells contend for cores and
-//!                                corrupt the per-scenario measurements.
+//! Flags: `--out` and `--check` as in [`osdc_bench::gate`], and `--jobs
+//! <N>` to run the e2e grid workloads on N runner workers. It defaults to
+//! 1, unlike the experiment harnesses, because this binary's product is
+//! wall-clock time: co-scheduled cells contend for cores and corrupt the
+//! per-scenario measurements.
 
-use std::time::Instant;
-
+use osdc_bench::gate::{self, Baseline, Cli, GateError, Side, Snapshot};
 use osdc_bench::jobs_from;
 use osdc_chaos::{run_campaigns, CampaignConfig, RetryPolicy};
 use osdc_crypto::CipherKind;
@@ -47,8 +37,6 @@ use osdc_telemetry::Telemetry;
 use osdc_transfer::{Protocol, TransferEngine, TransferSpec};
 
 const SEED: u64 = 2012;
-/// Allowed speedup shrinkage before `--check` fails.
-const REGRESSION_FACTOR: f64 = 1.25;
 /// Speedups are compared after clamping here: ratios above this are all
 /// "epoch time is negligible" and their exact value is timer noise.
 const SPEEDUP_CAP: f64 = 10.0;
@@ -176,224 +164,59 @@ fn link_flap_partial(mode: SolverMode) {
     }
 }
 
-/// One timed sample: `inner` back-to-back runs, averaged, in milliseconds.
-/// Micro scenarios (sub-millisecond) use a large `inner` so a sample is
-/// tens of milliseconds and timer/scheduler noise averages out.
-fn sample_ms(run: &dyn Fn(SolverMode), mode: SolverMode, inner: u32) -> f64 {
-    let t0 = Instant::now();
-    for _ in 0..inner {
-        run(mode);
-    }
-    t0.elapsed().as_secs_f64() * 1e3 / f64::from(inner)
-}
-
-struct Measurement {
-    name: &'static str,
-    reference_ms: f64,
-    epoch_ms: f64,
-}
-
-impl Measurement {
-    fn speedup(&self) -> f64 {
-        self.reference_ms / self.epoch_ms.max(1e-6)
-    }
-}
-
-fn snapshot_json(measurements: &[Measurement]) -> String {
-    let mut out = String::from("{\n  \"schema\": 1,\n  \"scenarios\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"reference_ms\": {:.3}, \"epoch_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
-            m.name,
-            m.reference_ms,
-            m.epoch_ms,
-            m.speedup(),
-            if i + 1 < measurements.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Compare measured speedups against a baseline snapshot. Returns the
-/// regression messages (empty = pass).
-fn check_against(baseline: &str, measurements: &[Measurement]) -> Result<Vec<String>, String> {
-    let value: serde_json::Value =
-        serde_json::from_str(baseline).map_err(|e| format!("baseline is not JSON: {e:?}"))?;
-    let scenarios = value
-        .get("scenarios")
-        .and_then(|s| s.as_array())
-        .ok_or("baseline lacks a scenarios array")?;
-    let mut failures = Vec::new();
-    for base in scenarios {
-        let name = base
-            .get("name")
-            .and_then(|n| n.as_str())
-            .ok_or("scenario lacks a name")?;
-        let base_speedup = base
-            .get("speedup")
-            .and_then(|s| s.as_f64())
-            .ok_or_else(|| format!("scenario {name} lacks a speedup"))?;
-        let Some(m) = measurements.iter().find(|m| m.name == name) else {
-            failures.push(format!("scenario {name} in baseline but not measured"));
-            continue;
-        };
-        let floor = base_speedup.min(SPEEDUP_CAP) / REGRESSION_FACTOR;
-        if m.speedup().min(SPEEDUP_CAP) < floor {
-            failures.push(format!(
-                "{name}: speedup {:.2}x fell below {floor:.2}x (baseline {base_speedup:.2}x capped at {SPEEDUP_CAP}x / {REGRESSION_FACTOR})",
-                m.speedup()
-            ));
-        }
-    }
+fn check(baseline: &Baseline, snap: &Snapshot) -> Result<Vec<String>, GateError> {
+    let failures = gate::check_speedups(baseline, snap, SPEEDUP_CAP, f64::INFINITY);
     Ok(failures)
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_fluid.json".into());
-    let check_path = flag_value(&args, "--check");
-    // Timing binary: serial by default; see the usage note on --jobs.
+    let cli = Cli::from_args(&args, "BENCH_fluid.json");
+    // Timing binary: serial by default; see the --jobs note above.
     let jobs = jobs_from(&args, 1);
 
-    println!("fluid-solver perf baseline (min over 4 interleaved rounds, after warmup)");
-    println!(
-        "{:<24} {:>14} {:>12} {:>9}",
-        "scenario", "reference_ms", "epoch_ms", "speedup"
-    );
+    let mut snap =
+        Snapshot::new("fluid-solver perf baseline: reference (base) vs epoch (fast) solver");
     let table3 = move |mode: SolverMode| table3_e2e(mode, jobs);
     let resilience = move |mode: SolverMode| resilience_quick_e2e(mode, jobs);
-    // (name, workload, inner iterations per timed sample).
-    type Scenario<'a> = (&'static str, &'a dyn Fn(SolverMode), u32);
+    // (name, group, workload, runs per timed sample). Micro scenarios
+    // (sub-millisecond) repeat 20 times per sample so a sample is tens of
+    // milliseconds and timer/scheduler noise averages out.
+    type Scenario<'a> = (&'static str, &'static str, &'a dyn Fn(SolverMode), u32);
     let scenarios: [Scenario; 5] = [
-        ("table3_e2e", &table3, 1),
-        ("resilience_quick_e2e", &resilience, 1),
-        ("mixed_cc_4000_ticks", &mixed_cc_4000_ticks, 20),
-        ("constant_run_until_90m", &constant_run_until_90m, 1),
-        ("link_flap_partial", &link_flap_partial, 20),
+        ("table3_e2e", "e2e", &table3, 1),
+        ("resilience_quick_e2e", "e2e", &resilience, 1),
+        ("mixed_cc_4000_ticks", "solver", &mixed_cc_4000_ticks, 20),
+        (
+            "constant_run_until_90m",
+            "solver",
+            &constant_run_until_90m,
+            1,
+        ),
+        ("link_flap_partial", "solver", &link_flap_partial, 20),
     ];
-    let mut measurements = Vec::new();
-    for (name, run, inner) in scenarios {
-        // Interleave the modes across rounds and keep the per-mode minimum:
-        // background load only ever adds time, and interleaving stops a
-        // load burst from landing entirely on one mode.
-        run(SolverMode::Reference);
-        run(SolverMode::DEFAULT);
-        let (mut reference_ms, mut epoch_ms) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..4 {
-            reference_ms = reference_ms.min(sample_ms(run, SolverMode::Reference, inner));
-            epoch_ms = epoch_ms.min(sample_ms(run, SolverMode::DEFAULT, inner));
-        }
-        let m = Measurement {
-            name,
-            reference_ms,
-            epoch_ms,
-        };
-        println!(
-            "{:<24} {:>14.3} {:>12.3} {:>8.2}x",
-            m.name,
-            m.reference_ms,
-            m.epoch_ms,
-            m.speedup()
-        );
-        measurements.push(m);
-    }
-
-    std::fs::write(&out_path, snapshot_json(&measurements)).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    println!("\nsnapshot written to {out_path}");
-
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(1);
+    for (name, group, run, inner) in scenarios {
+        let runs = f64::from(inner);
+        snap.group(group, "runs/s").measure(name, runs, 4, |side| {
+            let mode = match side {
+                Side::Base => SolverMode::Reference,
+                Side::Fast => SolverMode::DEFAULT,
+            };
+            for _ in 0..inner {
+                run(mode);
+            }
         });
-        match check_against(&baseline, &measurements) {
-            Ok(failures) if failures.is_empty() => {
-                println!("check vs {path}: all speedups within {REGRESSION_FACTOR}x of baseline");
-            }
-            Ok(failures) => {
-                for f in &failures {
-                    eprintln!("REGRESSION: {f}");
-                }
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("cannot check baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        }
     }
+    cli.finish(&snap, check);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fake() -> Vec<Measurement> {
-        vec![Measurement {
-            name: "table3_e2e",
-            reference_ms: 1000.0,
-            epoch_ms: 100.0,
-        }]
-    }
-
     #[test]
-    fn snapshot_round_trips_through_check() {
-        let snap = snapshot_json(&fake());
-        assert!(check_against(&snap, &fake()).expect("parses").is_empty());
-    }
-
-    #[test]
-    fn regression_is_flagged() {
-        let snap = snapshot_json(&fake());
-        let slower = vec![Measurement {
-            name: "table3_e2e",
-            reference_ms: 1000.0,
-            epoch_ms: 200.0, // 5x, below 10x / 1.25 = 8x
-        }];
-        let failures = check_against(&snap, &slower).expect("parses");
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("table3_e2e"));
-    }
-
-    #[test]
-    fn huge_speedups_compare_clamped() {
-        // 300x baseline vs 40x measured: both beyond the cap, so the swing
-        // is treated as timer noise and passes.
-        let base = vec![Measurement {
-            name: "constant_run_until_90m",
-            reference_ms: 3000.0,
-            epoch_ms: 10.0,
-        }];
-        let snap = snapshot_json(&base);
-        let measured = vec![Measurement {
-            name: "constant_run_until_90m",
-            reference_ms: 400.0,
-            epoch_ms: 10.0,
-        }];
-        assert!(check_against(&snap, &measured).expect("parses").is_empty());
-    }
-
-    #[test]
-    fn missing_scenario_is_flagged() {
-        let snap = snapshot_json(&fake());
-        let failures = check_against(&snap, &[]).expect("parses");
-        assert_eq!(failures.len(), 1);
+    fn checked_in_baseline_passes_its_own_check() {
+        let base = Baseline::parse(include_str!("../../../../BENCH_fluid.json")).expect("parses");
+        assert_eq!(check(&base, &base.replay()), Ok(vec![]));
     }
 }

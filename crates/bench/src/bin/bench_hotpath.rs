@@ -15,24 +15,17 @@
 //!   `HashMap<u32, Vec<&Sig>>` + eager-MD5 generator. Metric: MB/s of
 //!   scanned input.
 //!
-//! Wall times vary across machines, so the CI gate compares **speedups**
-//! (which divide the machine out) exactly like `bench_fluid`: a scenario
-//! regresses when its measured speedup drops below baseline/1.25, with
-//! ratios clamped to 10x before comparison. On top of that, the
-//! acceptance rule for the speed pass itself: at least two of the three
-//! hot-path groups must hold a ≥2x best speedup.
+//! The seed copy is the base side and today's path the fast side of
+//! [`osdc_bench::gate`], whose ratio check runs with a 10x cap. On top
+//! of that, the acceptance rule for the speed pass itself: at least two
+//! of the three hot-path groups must hold a ≥2x best speedup.
 //!
-//! Usage:
-//!   bench_hotpath                  run, print table, write BENCH_hotpath.json
-//!   bench_hotpath --out <path>     write the snapshot elsewhere
-//!   bench_hotpath --check <path>   compare against a baseline snapshot,
-//!                                  exiting 1 on regression or if fewer than
-//!                                  two groups keep a 2x speedup
+//! Flags: `--out` and `--check` as in [`osdc_bench::gate`].
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
-use std::time::Instant;
 
+use osdc_bench::gate::{self, Baseline, Cli, GateError, Row, Side, Snapshot};
 use osdc_crypto::md5::md5;
 use osdc_crypto::modes::ecb_encrypt;
 use osdc_crypto::{BlockCipher64, Blowfish, CbcEncryptor, CtrStream, TripleDes};
@@ -43,8 +36,6 @@ use osdc_transfer::delta::{
 };
 use osdc_transfer::rolling::{weak_checksum, RollingChecksum};
 
-/// Allowed speedup shrinkage before `--check` fails.
-const REGRESSION_FACTOR: f64 = 1.25;
 /// Speedups compare after clamping here (beyond it is timer noise).
 const SPEEDUP_CAP: f64 = 10.0;
 /// The speed-pass acceptance rule: this many of the three hot-path
@@ -386,18 +377,35 @@ fn cipher_buf() -> Vec<u8> {
         .collect()
 }
 
-fn run_ecb<C: BlockCipher64>(cipher: &C, data: &mut [u8]) {
-    ecb_encrypt(cipher, data);
-}
-
-fn run_ctr<C: BlockCipher64>(cipher: &C, data: &mut [u8]) {
-    CtrStream::new(cipher, 0xA5).apply(data);
-}
-
-fn run_cbc_dec<C: BlockCipher64>(cipher: &C, data: &[u8]) {
-    CbcEncryptor::new(cipher, 7)
-        .decrypt(data)
-        .expect("valid padding");
+/// One algorithm's cipher scenarios: ECB and CTR over the 4 MiB buffer,
+/// CBC decrypt over a 1 MiB ciphertext (3DES per-block CBC is slow enough
+/// that 4 MiB per round would dominate the whole run). Metric: MB moved.
+fn measure_cipher<B: BlockCipher64, F: BlockCipher64>(
+    snap: &mut Snapshot,
+    alg: &str,
+    rounds: u32,
+    base: &B,
+    fast: &F,
+) {
+    let mb = CIPHER_BUF as f64 / (1024.0 * 1024.0);
+    let mut buf = cipher_buf();
+    let mut ciphers = snap.group("cipher", "MB/s");
+    ciphers.measure(&format!("{alg}_ecb"), mb, rounds, |side| match side {
+        Side::Base => ecb_encrypt(base, &mut buf),
+        Side::Fast => ecb_encrypt(fast, &mut buf),
+    });
+    ciphers.measure(&format!("{alg}_ctr"), mb, rounds, |side| match side {
+        Side::Base => CtrStream::new(base, 0xA5).apply(&mut buf),
+        Side::Fast => CtrStream::new(fast, 0xA5).apply(&mut buf),
+    });
+    let ct = CbcEncryptor::new(fast, 7).encrypt(&buf[..CIPHER_BUF / 4]);
+    ciphers.measure(&format!("{alg}_cbc_dec"), mb / 4.0, rounds, |side| {
+        let plain = match side {
+            Side::Base => CbcEncryptor::new(base, 7).decrypt(&ct),
+            Side::Fast => CbcEncryptor::new(fast, 7).decrypt(&ct),
+        };
+        plain.expect("valid padding");
+    });
 }
 
 // ---- Baseline 3: the seed's HashMap + eager-MD5 delta generator -----------
@@ -497,220 +505,68 @@ fn pseudo_bytes(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
-// ---- Measurement and snapshot plumbing ------------------------------------
+// ---- The gate -------------------------------------------------------------
 
-/// Best-of-rounds wall time for one closure, in milliseconds.
-fn best_ms(rounds: u32, mut run: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        run();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-struct Measurement {
-    name: &'static str,
-    /// Hot-path group: "scheduler", "cipher", or "delta".
-    group: &'static str,
-    /// Human-readable throughput unit for the snapshot.
-    unit: &'static str,
-    /// Work per pass in `unit`s (events or MB).
-    work: f64,
-    baseline_ms: f64,
-    optimized_ms: f64,
-}
-
-impl Measurement {
-    fn speedup(&self) -> f64 {
-        self.baseline_ms / self.optimized_ms.max(1e-6)
-    }
-    fn baseline_rate(&self) -> f64 {
-        self.work / (self.baseline_ms / 1e3)
-    }
-    fn optimized_rate(&self) -> f64 {
-        self.work / (self.optimized_ms / 1e3)
-    }
-}
-
-fn snapshot_json(measurements: &[Measurement]) -> String {
-    let mut out = String::from("{\n  \"schema\": 1,\n  \"scenarios\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"group\": \"{}\", \"unit\": \"{}\", \"baseline_ms\": {:.3}, \"optimized_ms\": {:.3}, \"baseline_rate\": {:.0}, \"optimized_rate\": {:.0}, \"speedup\": {:.2}}}{}\n",
-            m.name,
-            m.group,
-            m.unit,
-            m.baseline_ms,
-            m.optimized_ms,
-            m.baseline_rate(),
-            m.optimized_rate(),
-            m.speedup(),
-            if i + 1 < measurements.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Regression check vs a baseline snapshot, plus the 2-of-3-groups-at-2x
-/// acceptance rule. Returns failure messages (empty = pass).
-fn check_against(baseline: &str, measurements: &[Measurement]) -> Result<Vec<String>, String> {
-    let value: serde_json::Value =
-        serde_json::from_str(baseline).map_err(|e| format!("baseline is not JSON: {e:?}"))?;
-    let scenarios = value
-        .get("scenarios")
-        .and_then(|s| s.as_array())
-        .ok_or("baseline lacks a scenarios array")?;
-    let mut failures = Vec::new();
-    for base in scenarios {
-        let name = base
-            .get("name")
-            .and_then(|n| n.as_str())
-            .ok_or("scenario lacks a name")?;
-        let base_speedup = base
-            .get("speedup")
-            .and_then(|s| s.as_f64())
-            .ok_or_else(|| format!("scenario {name} lacks a speedup"))?;
-        let Some(m) = measurements.iter().find(|m| m.name == name) else {
-            failures.push(format!("scenario {name} in baseline but not measured"));
-            continue;
-        };
-        let floor = base_speedup.min(SPEEDUP_CAP) / REGRESSION_FACTOR;
-        if m.speedup().min(SPEEDUP_CAP) < floor {
-            failures.push(format!(
-                "{name}: speedup {:.2}x fell below {floor:.2}x (baseline {base_speedup:.2}x capped at {SPEEDUP_CAP}x / {REGRESSION_FACTOR})",
-                m.speedup()
-            ));
-        }
-    }
-    // Acceptance rule: ≥2 of the 3 groups keep a ≥2x best speedup.
-    let mut groups: Vec<&str> = measurements.iter().map(|m| m.group).collect();
+/// The speed-pass acceptance rule: at least [`MIN_FAST_GROUPS`] groups
+/// hold a best speedup of [`GROUP_TARGET_SPEEDUP`] or more.
+fn fast_groups_rule(rows: &[Row]) -> Vec<String> {
+    let mut groups: Vec<&str> = rows.iter().map(|r| r.group.as_str()).collect();
     groups.sort_unstable();
     groups.dedup();
     let fast = groups
         .iter()
         .filter(|g| {
-            measurements
-                .iter()
-                .filter(|m| &m.group == *g)
-                .map(Measurement::speedup)
+            rows.iter()
+                .filter(|r| r.group == **g)
+                .map(Row::speedup)
                 .fold(0.0f64, f64::max)
                 >= GROUP_TARGET_SPEEDUP
         })
         .count();
-    if fast < MIN_FAST_GROUPS {
-        failures.push(format!(
-            "only {fast} of {} hot-path groups hold a ≥{GROUP_TARGET_SPEEDUP}x speedup (need {MIN_FAST_GROUPS})",
-            groups.len()
-        ));
+    if fast >= MIN_FAST_GROUPS {
+        return Vec::new();
     }
-    Ok(failures)
+    vec![format!(
+        "only {fast} of {} hot-path groups hold a ≥{GROUP_TARGET_SPEEDUP}x speedup (need {MIN_FAST_GROUPS})",
+        groups.len()
+    )]
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
+fn check(baseline: &Baseline, snap: &Snapshot) -> Result<Vec<String>, GateError> {
+    let mut failures = gate::check_speedups(baseline, snap, SPEEDUP_CAP, f64::INFINITY);
+    failures.extend(fast_groups_rule(&snap.rows));
+    Ok(failures)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_hotpath.json".into());
-    let check_path = flag_value(&args, "--check");
+    let cli = Cli::from_args(&args, "BENCH_hotpath.json");
 
-    println!("hot-path perf snapshot (best of 4 rounds, after warmup)");
-    println!(
-        "{:<22} {:>12} {:>12} {:>9}  rate",
-        "scenario", "baseline_ms", "optimized_ms", "speedup"
-    );
-    let mut measurements: Vec<Measurement> = Vec::new();
-    let mut record = |name: &'static str,
-                      group: &'static str,
-                      unit: &'static str,
-                      work: f64,
-                      baseline_ms: f64,
-                      optimized_ms: f64| {
-        let m = Measurement {
-            name,
-            group,
-            unit,
-            work,
-            baseline_ms,
-            optimized_ms,
-        };
-        println!(
-            "{:<22} {:>12.3} {:>12.3} {:>8.2}x  {:.0} → {:.0} {}",
-            m.name,
-            m.baseline_ms,
-            m.optimized_ms,
-            m.speedup(),
-            m.baseline_rate(),
-            m.optimized_rate(),
-            m.unit
-        );
-        measurements.push(m);
-    };
+    let mut snap = Snapshot::new("hot-path perf snapshot: seed copy (base) vs today's path (fast)");
 
     // Scheduler: hold model at three queue depths.
+    let mut scheduler = snap.group("scheduler", "events/s");
     for (name, depth, events) in [
         ("scheduler_hold_1e2", 100u32, 2_000_000u64),
         ("scheduler_hold_1e4", 10_000, 1_000_000),
         ("scheduler_hold_1e5", 100_000, 500_000),
     ] {
-        scheduler_calendar(depth, events / 4); // warmup
-        scheduler_heap(depth, events / 4);
-        let opt = best_ms(4, || scheduler_calendar(depth, events));
-        let base = best_ms(4, || scheduler_heap(depth, events));
-        record(name, "scheduler", "events/s", events as f64, base, opt);
+        scheduler.measure(name, events as f64, 4, |side| match side {
+            Side::Base => scheduler_heap(depth, events),
+            Side::Fast => scheduler_calendar(depth, events),
+        });
     }
 
-    // Ciphers: MB moved per pass; ECB/CTR on the 4 MiB buffer, CBC
-    // decrypt on a 1 MiB ciphertext (3DES per-block CBC is slow enough
-    // that 4 MiB per round would dominate the whole run).
-    let mb = CIPHER_BUF as f64 / (1024.0 * 1024.0);
+    // Ciphers. The seed 3DES takes seconds per pass, so it runs 2
+    // rounds, not 4.
     let bf = Blowfish::new(b"table3-udr-blowfish");
+    measure_cipher(&mut snap, "blowfish", 4, &PerBlock(&bf), &bf);
     let mut key = [0u8; 24];
     for (i, b) in key.iter_mut().enumerate() {
         *b = (i as u8).wrapping_mul(37).wrapping_add(11);
     }
-    let tdes = TripleDes::new(key);
-    let base_des = BaselineTripleDes::new(key);
-
-    {
-        let mut buf = cipher_buf();
-        let opt = best_ms(4, || run_ecb(&bf, &mut buf));
-        let base = best_ms(4, || run_ecb(&PerBlock(&bf), &mut buf));
-        record("blowfish_ecb", "cipher", "MB/s", mb, base, opt);
-        let opt = best_ms(4, || run_ctr(&bf, &mut buf));
-        let base = best_ms(4, || run_ctr(&PerBlock(&bf), &mut buf));
-        record("blowfish_ctr", "cipher", "MB/s", mb, base, opt);
-        let ct = CbcEncryptor::new(&bf, 7).encrypt(&buf[..CIPHER_BUF / 4]);
-        let opt = best_ms(4, || run_cbc_dec(&bf, &ct));
-        let base = best_ms(4, || run_cbc_dec(&PerBlock(&bf), &ct));
-        record("blowfish_cbc_dec", "cipher", "MB/s", mb / 4.0, base, opt);
-    }
-    {
-        let mut buf = cipher_buf();
-        let opt = best_ms(4, || run_ecb(&tdes, &mut buf));
-        let base = best_ms(2, || run_ecb(&base_des, &mut buf));
-        record("tdes_ecb", "cipher", "MB/s", mb, base, opt);
-        let opt = best_ms(4, || run_ctr(&tdes, &mut buf));
-        let base = best_ms(2, || run_ctr(&base_des, &mut buf));
-        record("tdes_ctr", "cipher", "MB/s", mb, base, opt);
-        let ct = CbcEncryptor::new(&tdes, 7).encrypt(&buf[..CIPHER_BUF / 4]);
-        let opt = best_ms(4, || run_cbc_dec(&tdes, &ct));
-        let base = best_ms(2, || run_cbc_dec(&base_des, &ct));
-        record("tdes_cbc_dec", "cipher", "MB/s", mb / 4.0, base, opt);
-    }
+    let (base_des, tdes) = (BaselineTripleDes::new(key), TripleDes::new(key));
+    measure_cipher(&mut snap, "tdes", 2, &base_des, &tdes);
 
     // Delta generation: miss-dominated scan (disjoint files) and the
     // realistic scattered-edit sync.
@@ -720,15 +576,14 @@ fn main() {
         let sigs = compute_signatures(&basis, 2048);
         let mut scratch = DeltaScratch::new();
         let target_mb = target.len() as f64 / (1024.0 * 1024.0);
-        let opt = best_ms(4, || {
-            let d = generate_delta_with(&sigs, &target, &mut scratch);
+        let mut delta = snap.group("delta", "MB/s");
+        delta.measure("delta_miss_scan", target_mb, 4, |side| {
+            let d = match side {
+                Side::Base => baseline_generate_delta(&sigs, &target),
+                Side::Fast => generate_delta_with(&sigs, &target, &mut scratch),
+            };
             assert_eq!(d.literal_bytes, target.len());
         });
-        let base = best_ms(4, || {
-            let d = baseline_generate_delta(&sigs, &target);
-            assert_eq!(d.literal_bytes, target.len());
-        });
-        record("delta_miss_scan", "delta", "MB/s", target_mb, base, opt);
 
         let mut edited = basis.clone();
         for start in (0..edited.len()).step_by(128 * 1024) {
@@ -737,113 +592,56 @@ fn main() {
             }
         }
         let basis_mb = basis.len() as f64 / (1024.0 * 1024.0);
-        let opt = best_ms(4, || {
-            let d = generate_delta_with(&sigs, &edited, &mut scratch);
+        delta.measure("delta_scattered_edit", basis_mb, 4, |side| {
+            let d = match side {
+                Side::Base => baseline_generate_delta(&sigs, &edited),
+                Side::Fast => generate_delta_with(&sigs, &edited, &mut scratch),
+            };
             assert!(d.matched_bytes > 0);
         });
-        let base = best_ms(4, || {
-            let d = baseline_generate_delta(&sigs, &edited);
-            assert!(d.matched_bytes > 0);
-        });
-        record("delta_scattered_edit", "delta", "MB/s", basis_mb, base, opt);
     }
 
-    std::fs::write(&out_path, snapshot_json(&measurements)).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    println!("\nsnapshot written to {out_path}");
-
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        match check_against(&baseline, &measurements) {
-            Ok(failures) if failures.is_empty() => {
-                println!(
-                    "check vs {path}: all speedups within {REGRESSION_FACTOR}x of baseline, \
-                     ≥{MIN_FAST_GROUPS} groups at {GROUP_TARGET_SPEEDUP}x"
-                );
-            }
-            Ok(failures) => {
-                for f in &failures {
-                    eprintln!("REGRESSION: {f}");
-                }
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("cannot check baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    cli.finish(&snap, check);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fake(speedups: &[(&'static str, &'static str, f64)]) -> Vec<Measurement> {
+    fn rows(speedups: &[(&str, &str, f64)]) -> Vec<Row> {
         speedups
             .iter()
-            .map(|&(name, group, speedup)| Measurement {
-                name,
-                group,
-                unit: "MB/s",
-                work: 4.0,
-                baseline_ms: 100.0 * speedup,
-                optimized_ms: 100.0,
-            })
+            .map(|&(name, group, speedup)| Row::new(name, group, "MB/s", 4.0, speedup, 1.0))
             .collect()
-    }
-
-    const THREE_GROUPS: &[(&str, &str, f64)] = &[
-        ("scheduler_hold_1e4", "scheduler", 3.0),
-        ("tdes_ctr", "cipher", 8.0),
-        ("delta_miss_scan", "delta", 2.5),
-    ];
-
-    #[test]
-    fn snapshot_round_trips_through_check() {
-        let snap = snapshot_json(&fake(THREE_GROUPS));
-        assert!(check_against(&snap, &fake(THREE_GROUPS))
-            .expect("parses")
-            .is_empty());
-    }
-
-    #[test]
-    fn regression_is_flagged() {
-        let snap = snapshot_json(&fake(THREE_GROUPS));
-        let mut slower = THREE_GROUPS.to_vec();
-        slower[1].2 = 2.1; // 8x → 2.1x, below 8/1.25
-        let failures = check_against(&snap, &fake(&slower)).expect("parses");
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("tdes_ctr"));
     }
 
     #[test]
     fn too_few_fast_groups_is_flagged() {
-        let snap = snapshot_json(&fake(THREE_GROUPS));
-        // Every group sags to 1.5x — individually within the 1.25 factor
-        // of nothing (no baseline above), but the 2-of-3 rule must trip.
-        let slow = fake(&[
+        let two_fast = rows(&[
             ("scheduler_hold_1e4", "scheduler", 1.5),
-            ("tdes_ctr", "cipher", 1.5),
+            ("tdes_ctr", "cipher", 8.0),
             ("delta_miss_scan", "delta", 2.5),
         ]);
-        let failures = check_against(&snap, &slow).expect("parses");
+        assert!(fast_groups_rule(&two_fast).is_empty());
+        // One group alone at 2x or more: the 2-of-3 rule trips.
+        let one_fast = rows(&[
+            ("scheduler_hold_1e4", "scheduler", 1.5),
+            ("tdes_ctr", "cipher", 1.9),
+            ("delta_miss_scan", "delta", 2.5),
+        ]);
+        let failures = fast_groups_rule(&one_fast);
         assert!(
-            failures.iter().any(|f| f.contains("hot-path groups")),
+            failures
+                .iter()
+                .any(|f| f.contains("only 1 of 3 hot-path groups")),
             "{failures:?}"
         );
     }
 
     #[test]
-    fn missing_scenario_is_flagged() {
-        let snap = snapshot_json(&fake(THREE_GROUPS));
-        let failures = check_against(&snap, &fake(&THREE_GROUPS[..2])).expect("parses");
-        assert!(!failures.is_empty());
+    fn checked_in_baseline_passes_its_own_check() {
+        let base = Baseline::parse(include_str!("../../../../BENCH_hotpath.json")).expect("parses");
+        assert_eq!(check(&base, &base.replay()), Ok(vec![]));
     }
 
     #[test]

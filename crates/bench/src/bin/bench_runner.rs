@@ -12,30 +12,22 @@
 //! * `gluster_trials_grid` — the 60 mirroring-bug trials (3 configs × 20
 //!   seeds) from `exp_gluster_mirroring`.
 //!
-//! Absolute wall times are machine-dependent, and so — unlike the solver
-//! bench — is the honest parallel speedup: it cannot exceed the core
-//! count of whatever ran the snapshot. The `--check` gate therefore
-//! compares against a **portable floor**: a run fails when a scenario's
-//! measured speedup (clamped to 8x) drops below
-//! `min(baseline_speedup, 0.8 × effective_parallelism) / 1.25`, where
-//! `effective_parallelism = min(jobs, cores)` of the *current* machine.
-//! A baseline recorded on a small box never demands more than the
-//! current host can give, and a single-core host is only asked not to
-//! regress below ~0.64x (the pool must stay near-free when it cannot
-//! help). The grids shard their repeated per-cell setup per worker via
-//! `Runner::run_with`, so on a multi-core host the measured speedup
-//! tracks the core count instead of stalling on duplicated setup.
+//! The serial run is the base side and the `--jobs N` run the fast side
+//! of [`osdc_bench::gate`], with an 8x cap. The honest parallel speedup
+//! cannot exceed the host's core count, so the gate's ceiling is `0.8 ×
+//! effective_parallelism`, where `effective_parallelism = min(jobs,
+//! cores)` of the *checking* host: a baseline from a big box never
+//! demands more than this host can give, and a single-core host must
+//! still keep the pool near-free (≥ ~0.64x). The grids shard their
+//! repeated per-cell setup per worker via `Runner::run_with`, so on a
+//! multi-core host the measured speedup tracks the core count instead of
+//! stalling on duplicated setup.
 //!
-//! Usage:
-//!   bench_runner                  run, print the table, write BENCH_runner.json
-//!   bench_runner --out <path>     write the snapshot elsewhere
-//!   bench_runner --check <path>   also compare against a baseline snapshot,
-//!                                 exiting 1 when a speedup falls below the floor
-//!   bench_runner --jobs <N>       worker count for the parallel legs
-//!                                 (default: max(2, host parallelism))
+//! Flags: `--out` and `--check` as in [`osdc_bench::gate`], and `--jobs
+//! <N>`, the parallel legs' worker count (default: max(2, host
+//! parallelism)).
 
-use std::time::Instant;
-
+use osdc_bench::gate::{self, Baseline, Cli, GateError, Side, Snapshot};
 use osdc_bench::jobs_from;
 use osdc_chaos::{run_campaigns, CampaignConfig, RetryPolicy};
 use osdc_crypto::CipherKind;
@@ -46,8 +38,6 @@ use osdc_telemetry::Telemetry;
 use osdc_transfer::{Protocol, TransferEngine, TransferSpec};
 
 const SEED: u64 = 2012;
-/// Allowed speedup shrinkage before `--check` fails.
-const REGRESSION_FACTOR: f64 = 1.25;
 /// Speedups are compared after clamping here: the grids have at most ~8
 /// usefully parallel heavyweight cells, so ratios beyond this are noise.
 const SPEEDUP_CAP: f64 = 8.0;
@@ -155,244 +145,56 @@ fn gluster_trials_grid(jobs: usize) {
     );
 }
 
-/// One timed sample of `run(jobs)`, in milliseconds.
-fn sample_ms(run: &dyn Fn(usize), jobs: usize) -> f64 {
-    let t0 = Instant::now();
-    run(jobs);
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
-struct Measurement {
-    name: &'static str,
-    serial_ms: f64,
-    parallel_ms: f64,
-}
-
-impl Measurement {
-    fn speedup(&self) -> f64 {
-        self.serial_ms / self.parallel_ms.max(1e-6)
-    }
-}
-
-fn snapshot_json(jobs: usize, measurements: &[Measurement]) -> String {
-    let mut out = format!("{{\n  \"schema\": 1,\n  \"jobs\": {jobs},\n  \"scenarios\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"serial_ms\": {:.3}, \"parallel_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
-            m.name,
-            m.serial_ms,
-            m.parallel_ms,
-            m.speedup(),
-            if i + 1 < measurements.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// The portable gate: what the current machine must at least achieve,
-/// given the baseline's speedup and the current effective parallelism.
-fn speedup_floor(base_speedup: f64, effective_parallelism: usize) -> f64 {
-    base_speedup
-        .min(SPEEDUP_CAP)
-        .min(EFFICIENCY_FLOOR * effective_parallelism as f64)
-        / REGRESSION_FACTOR
-}
-
-/// Compare measured speedups against a baseline snapshot. Returns the
-/// regression messages (empty = pass).
-fn check_against(
-    baseline: &str,
-    measurements: &[Measurement],
+/// The runner gate: the shared ratio check under the host's ceiling.
+fn check(
+    baseline: &Baseline,
+    snap: &Snapshot,
     effective_parallelism: usize,
-) -> Result<Vec<String>, String> {
-    let value: serde_json::Value =
-        serde_json::from_str(baseline).map_err(|e| format!("baseline is not JSON: {e:?}"))?;
-    let scenarios = value
-        .get("scenarios")
-        .and_then(|s| s.as_array())
-        .ok_or("baseline lacks a scenarios array")?;
-    let mut failures = Vec::new();
-    for base in scenarios {
-        let name = base
-            .get("name")
-            .and_then(|n| n.as_str())
-            .ok_or("scenario lacks a name")?;
-        let base_speedup = base
-            .get("speedup")
-            .and_then(|s| s.as_f64())
-            .ok_or_else(|| format!("scenario {name} lacks a speedup"))?;
-        let Some(m) = measurements.iter().find(|m| m.name == name) else {
-            failures.push(format!("scenario {name} in baseline but not measured"));
-            continue;
-        };
-        let floor = speedup_floor(base_speedup, effective_parallelism);
-        if m.speedup().min(SPEEDUP_CAP) < floor {
-            failures.push(format!(
-                "{name}: speedup {:.2}x fell below {floor:.2}x (baseline {base_speedup:.2}x, \
-                 effective parallelism {effective_parallelism}, efficiency floor \
-                 {EFFICIENCY_FLOOR}, tolerance {REGRESSION_FACTOR}x)",
-                m.speedup()
-            ));
-        }
-    }
-    Ok(failures)
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
+) -> Result<Vec<String>, GateError> {
+    let ceiling = EFFICIENCY_FLOOR * effective_parallelism as f64;
+    Ok(gate::check_speedups(baseline, snap, SPEEDUP_CAP, ceiling))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_runner.json".into());
-    let check_path = flag_value(&args, "--check");
+    let cli = Cli::from_args(&args, "BENCH_runner.json");
     // At least two workers so the parallel leg always exercises the
     // stealing pool, even on a single-core host.
     let jobs = jobs_from(&args, available_jobs().max(2));
     let effective_parallelism = jobs.min(available_jobs());
 
-    println!(
-        "scenario-runner perf baseline (min over 3 interleaved rounds, --jobs {jobs}, {} core(s))",
-        available_jobs()
-    );
-    println!(
-        "{:<24} {:>12} {:>13} {:>9}",
-        "scenario", "serial_ms", "parallel_ms", "speedup"
-    );
-    type Scenario<'a> = (&'static str, &'a dyn Fn(usize));
+    println!("host parallelism: {} core(s)", available_jobs());
+    let mut snap = Snapshot::new(&format!(
+        "scenario-runner perf baseline: serial (base) vs --jobs {jobs} (fast)"
+    ));
+    // (name, workload, cells per grid).
+    type Scenario<'a> = (&'static str, &'a dyn Fn(usize), f64);
     let scenarios: [Scenario; 3] = [
-        ("table3_grid", &table3_grid),
-        ("resilience_quick_grid", &resilience_quick_grid),
-        ("gluster_trials_grid", &gluster_trials_grid),
+        ("table3_grid", &table3_grid, 10.0),
+        ("resilience_quick_grid", &resilience_quick_grid, 4.0),
+        ("gluster_trials_grid", &gluster_trials_grid, 60.0),
     ];
-    let mut measurements = Vec::new();
-    for (name, run) in scenarios {
-        // Warm up once, then interleave the two legs across rounds and
-        // keep per-leg minima: background load only ever adds time, and
-        // interleaving stops a load burst from landing on one leg.
-        run(jobs);
-        let (mut serial_ms, mut parallel_ms) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..3 {
-            serial_ms = serial_ms.min(sample_ms(run, 1));
-            parallel_ms = parallel_ms.min(sample_ms(run, jobs));
-        }
-        let m = Measurement {
-            name,
-            serial_ms,
-            parallel_ms,
-        };
-        println!(
-            "{:<24} {:>12.3} {:>13.3} {:>8.2}x",
-            m.name,
-            m.serial_ms,
-            m.parallel_ms,
-            m.speedup()
-        );
-        measurements.push(m);
-    }
-
-    std::fs::write(&out_path, snapshot_json(jobs, &measurements)).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    println!("\nsnapshot written to {out_path}");
-
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(1);
+    let mut grids = snap.group("grid", "cells/s");
+    for (name, run, cells) in scenarios {
+        grids.measure(name, cells, 3, |side| match side {
+            Side::Base => run(1),
+            Side::Fast => run(jobs),
         });
-        match check_against(&baseline, &measurements, effective_parallelism) {
-            Ok(failures) if failures.is_empty() => {
-                println!(
-                    "check vs {path}: all speedups above their floors \
-                     (efficiency {EFFICIENCY_FLOOR}, tolerance {REGRESSION_FACTOR}x)"
-                );
-            }
-            Ok(failures) => {
-                for f in &failures {
-                    eprintln!("REGRESSION: {f}");
-                }
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("cannot check baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        }
     }
+    cli.finish(&snap, |baseline, snap| {
+        check(baseline, snap, effective_parallelism)
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fake(parallel_ms: f64) -> Vec<Measurement> {
-        vec![Measurement {
-            name: "table3_grid",
-            serial_ms: 1000.0,
-            parallel_ms,
-        }]
-    }
-
     #[test]
-    fn snapshot_round_trips_through_check() {
-        let snap = snapshot_json(4, &fake(280.0)); // 3.57x
-        assert!(check_against(&snap, &fake(280.0), 4)
-            .expect("parses")
-            .is_empty());
-    }
-
-    #[test]
-    fn regression_is_flagged_on_matching_hardware() {
-        let snap = snapshot_json(4, &fake(280.0)); // 3.57x baseline
-                                                   // 1.1x measured on a 4-way host: floor = min(3.57, 0.8*4)/1.25 = 2.56x.
-        let failures = check_against(&snap, &fake(900.0), 4).expect("parses");
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("table3_grid"), "{failures:?}");
-    }
-
-    #[test]
-    fn single_core_host_is_not_asked_to_beat_a_big_box() {
-        // Baseline from an 8-way box (6x); current host has 1 core and
-        // measures ~1x. Floor = min(6, 0.8*1)/1.25 = 0.64x → passes.
-        let snap = snapshot_json(8, &fake(166.0));
-        assert!(check_against(&snap, &fake(1000.0), 1)
-            .expect("parses")
-            .is_empty());
-    }
-
-    #[test]
-    fn single_core_host_still_catches_pool_overhead() {
-        // Even with effective parallelism 1 the pool must stay near-free:
-        // a 2x slowdown (0.5x "speedup") is below the 0.64x floor.
-        let snap = snapshot_json(8, &fake(166.0));
-        let failures = check_against(&snap, &fake(2000.0), 1).expect("parses");
-        assert_eq!(failures.len(), 1);
-    }
-
-    #[test]
-    fn missing_scenario_is_flagged() {
-        let snap = snapshot_json(4, &fake(280.0));
-        let failures = check_against(&snap, &[], 4).expect("parses");
-        assert_eq!(failures.len(), 1);
-    }
-
-    #[test]
-    fn floor_caps_at_the_clamp() {
-        // A silly 50x baseline is clamped before the efficiency term.
-        assert!(speedup_floor(50.0, 64) <= SPEEDUP_CAP / REGRESSION_FACTOR + 1e-9);
-        // And the efficiency term wins when the host is small.
-        assert!((speedup_floor(6.0, 2) - 1.6 / 1.25).abs() < 1e-9);
+    fn checked_in_baseline_passes_its_own_check() {
+        let base = Baseline::parse(include_str!("../../../../BENCH_runner.json")).expect("parses");
+        for cores in [1, 2] {
+            assert_eq!(check(&base, &base.replay(), cores), Ok(vec![]));
+        }
     }
 }

@@ -8,7 +8,7 @@
 //!   schedule, at 10³/10⁴/10⁵ tenants. Metric: samples/s — the
 //!   per-tenant-minute samples the sweep cadence performs and the
 //!   increment mode retires. Both sides must produce byte-identical
-//!   invoice batches before their times count.
+//!   invoice batches, or the bench panics before writing a snapshot.
 //! * **Monitor** — `NagiosMaster`'s wheel scheduler vs a verbatim copy
 //!   of the scan-everything tick (host list rebuilt and every service
 //!   visited per tick) over a healthy fleet, so the cost compared is
@@ -19,25 +19,20 @@
 //!   bytes/tenant both absolutely ([`RSS_HARD_CAP_BYTES`]) and
 //!   relatively against the checked-in snapshot.
 //!
-//! Wall times vary across machines, so the CI gate compares **speedups**
-//! (which divide the machine out) with a 1.25x regression factor and a
-//! 12.5x clamp (beyond it the optimized side is sub-tens-of-ms and the
-//! exact ratio is timer noise; the clamped floor lands exactly on the
-//! scale-pass bar) — plus the scale-pass acceptance rule itself: at
-//! 10⁴+ tenants the event-driven paths must hold at least a **10x**
-//! speedup over their sweep baselines, compared unclamped.
+//! The sweep is the base side and the event-driven path the fast side of
+//! [`osdc_bench::gate`], whose ratio check runs with a 12.5x cap (beyond
+//! it the optimized side is sub-tens-of-ms and the exact ratio is timer
+//! noise; the capped floor lands exactly on the scale-pass bar). On top
+//! of that, the scale-pass acceptance rule itself: at 10⁴+ tenants the
+//! event-driven paths must hold at least a **10x** speedup over their
+//! sweep baselines, compared unclamped.
 //!
-//! Usage:
-//!   bench_scale                  run, print table, write BENCH_scale.json
-//!   bench_scale --out <path>     write the snapshot elsewhere
-//!   bench_scale --check <path>   compare against a baseline snapshot,
-//!                                exiting 1 on regression, a broken 10x
-//!                                floor, or an unbounded RSS-per-tenant
+//! Flags: `--out` and `--check` as in [`osdc_bench::gate`].
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use counting_alloc::{measure_peak, CountingAlloc};
+use osdc_bench::gate::{self, Baseline, Cli, GateError, MemoryPoint, Row, Side, Snapshot};
 use osdc_bench::scale::{
     build_schedule, incremental_invoices, monitor_fleet, sweep_event_count, sweep_invoices,
 };
@@ -51,8 +46,6 @@ use osdc_tukey::billing::Rates;
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
 const SEED: u64 = 2013;
-/// Allowed speedup shrinkage before `--check` fails.
-const REGRESSION_FACTOR: f64 = 1.25;
 /// Speedups compare after clamping here: beyond it the optimized side
 /// is sub-tens-of-ms and the exact ratio is timer noise, so the
 /// relative floor saturates at `12.5 / 1.25` — exactly the scale-pass
@@ -177,148 +170,33 @@ impl ScanMaster {
     }
 }
 
-// ---- Measurement and snapshot plumbing ------------------------------------
+// ---- The gate -------------------------------------------------------------
 
-/// Best-of-rounds wall time for one closure, in milliseconds.
-fn best_ms(rounds: u32, mut run: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        run();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-struct Measurement {
-    name: &'static str,
-    /// Scale group: "billing" or "monitor".
-    group: &'static str,
-    /// Human-readable throughput unit for the snapshot.
-    unit: &'static str,
-    /// Work per pass in `unit`s.
-    work: f64,
-    baseline_ms: f64,
-    optimized_ms: f64,
-}
-
-impl Measurement {
-    fn speedup(&self) -> f64 {
-        self.baseline_ms / self.optimized_ms.max(1e-6)
-    }
-    fn baseline_rate(&self) -> f64 {
-        self.work / (self.baseline_ms / 1e3)
-    }
-    fn optimized_rate(&self) -> f64 {
-        self.work / (self.optimized_ms / 1e3)
-    }
-}
-
-struct MemoryPoint {
-    name: &'static str,
-    tenants: usize,
-    peak_bytes: i64,
-}
-
-impl MemoryPoint {
-    fn bytes_per_tenant(&self) -> f64 {
-        self.peak_bytes as f64 / self.tenants as f64
-    }
-}
-
-fn snapshot_json(measurements: &[Measurement], memory: &[MemoryPoint]) -> String {
-    let mut out = String::from("{\n  \"schema\": 1,\n  \"scenarios\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"group\": \"{}\", \"unit\": \"{}\", \"baseline_ms\": {:.3}, \"optimized_ms\": {:.3}, \"baseline_rate\": {:.0}, \"optimized_rate\": {:.0}, \"speedup\": {:.2}}}{}\n",
-            m.name,
-            m.group,
-            m.unit,
-            m.baseline_ms,
-            m.optimized_ms,
-            m.baseline_rate(),
-            m.optimized_rate(),
-            m.speedup(),
-            if i + 1 < measurements.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"memory\": [\n");
-    for (i, p) in memory.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"tenants\": {}, \"peak_bytes\": {}, \"bytes_per_tenant\": {:.1}}}{}\n",
-            p.name,
-            p.tenants,
-            p.peak_bytes,
-            p.bytes_per_tenant(),
-            if i + 1 < memory.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Regression check vs a baseline snapshot, plus the scale-pass
-/// acceptance rules (10x floor at 10⁴+, bounded RSS/tenant). Returns
-/// failure messages (empty = pass).
-fn check_against(
-    baseline: &str,
-    measurements: &[Measurement],
-    memory: &[MemoryPoint],
-) -> Result<Vec<String>, String> {
-    let value: serde_json::Value =
-        serde_json::from_str(baseline).map_err(|e| format!("baseline is not JSON: {e:?}"))?;
-    let scenarios = value
-        .get("scenarios")
-        .and_then(|s| s.as_array())
-        .ok_or("baseline lacks a scenarios array")?;
+/// The scale-pass acceptance rule: the [`SCALE_GATED`] cells hold
+/// [`MIN_SCALE_SPEEDUP`], unclamped.
+fn scale_floor_rule(rows: &[Row]) -> Vec<String> {
     let mut failures = Vec::new();
-    for base in scenarios {
-        let name = base
-            .get("name")
-            .and_then(|n| n.as_str())
-            .ok_or("scenario lacks a name")?;
-        let base_speedup = base
-            .get("speedup")
-            .and_then(|s| s.as_f64())
-            .ok_or_else(|| format!("scenario {name} lacks a speedup"))?;
-        let Some(m) = measurements.iter().find(|m| m.name == name) else {
-            failures.push(format!("scenario {name} in baseline but not measured"));
-            continue;
-        };
-        let floor = base_speedup.min(SPEEDUP_CAP) / REGRESSION_FACTOR;
-        if m.speedup().min(SPEEDUP_CAP) < floor {
-            failures.push(format!(
-                "{name}: speedup {:.2}x fell below {floor:.2}x (baseline {base_speedup:.2}x capped at {SPEEDUP_CAP}x / {REGRESSION_FACTOR})",
-                m.speedup()
-            ));
-        }
-    }
     for name in SCALE_GATED {
-        let Some(m) = measurements.iter().find(|m| m.name == name) else {
+        let Some(r) = rows.iter().find(|r| r.name == name) else {
             failures.push(format!("scale-gated scenario {name} not measured"));
             continue;
         };
-        if m.speedup() < MIN_SCALE_SPEEDUP {
+        if r.speedup() < MIN_SCALE_SPEEDUP {
             failures.push(format!(
                 "{name}: speedup {:.2}x below the {MIN_SCALE_SPEEDUP}x scale-pass floor",
-                m.speedup()
+                r.speedup()
             ));
         }
     }
-    let base_memory = value
-        .get("memory")
-        .and_then(|s| s.as_array())
-        .ok_or("baseline lacks a memory array")?;
-    for base in base_memory {
-        let name = base
-            .get("name")
-            .and_then(|n| n.as_str())
-            .ok_or("memory point lacks a name")?;
-        let base_bpt = base
-            .get("bytes_per_tenant")
-            .and_then(|s| s.as_f64())
-            .ok_or_else(|| format!("memory point {name} lacks bytes_per_tenant"))?;
-        let Some(p) = memory.iter().find(|p| p.name == name) else {
+    failures
+}
+
+/// Bytes per tenant stay within [`RSS_REGRESSION_FACTOR`] of the
+/// baseline's and under [`RSS_HARD_CAP_BYTES`].
+fn memory_rule(baseline: &[(String, f64)], memory: &[MemoryPoint]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (name, base_bpt) in baseline {
+        let Some(p) = memory.iter().find(|p| &p.name == name) else {
             failures.push(format!("memory point {name} in baseline but not measured"));
             continue;
         };
@@ -339,266 +217,148 @@ fn check_against(
             ));
         }
     }
+    failures
+}
+
+fn check(baseline: &Baseline, snap: &Snapshot) -> Result<Vec<String>, GateError> {
+    let mut failures = gate::check_speedups(baseline, snap, SPEEDUP_CAP, f64::INFINITY);
+    failures.extend(scale_floor_rule(&snap.rows));
+    failures.extend(memory_rule(baseline.memory()?, &snap.memory));
     Ok(failures)
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-fn run_monitor_pair(hosts: usize, per_host: usize, ticks: u64) -> (f64, f64) {
-    let (agents, defs) = monitor_fleet(hosts, per_host, 300);
-    let agent_map: BTreeMap<String, &HostAgent> =
-        agents.iter().map(|a| (a.hostname.clone(), a)).collect();
-    let run_wheel = || {
-        let mut master = NagiosMaster::new();
-        for def in &defs {
-            master.add_service(def.clone());
-        }
-        for s in 0..ticks {
-            master.tick(SimTime(s * 1_000_000_000), &agent_map);
-        }
-        assert!(master.notifications.is_empty(), "healthy fleet notified");
-    };
-    let run_scan = || {
-        let mut master = ScanMaster::new();
-        for def in &defs {
-            master.add_service(def.clone());
-        }
-        for s in 0..ticks {
-            master.tick(SimTime(s * 1_000_000_000), &agent_map);
-        }
-        assert!(master.notifications.is_empty(), "healthy fleet notified");
-    };
-    run_wheel(); // warmup
-    run_scan();
-    let opt = best_ms(3, run_wheel);
-    let base = best_ms(2, run_scan);
-    (base, opt)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_scale.json".into());
-    let check_path = flag_value(&args, "--check");
+    let cli = Cli::from_args(&args, "BENCH_scale.json");
 
-    println!("scale perf snapshot (best of rounds, after warmup)");
-    println!(
-        "{:<14} {:>12} {:>12} {:>9}  rate",
-        "scenario", "baseline_ms", "optimized_ms", "speedup"
-    );
-    let mut measurements: Vec<Measurement> = Vec::new();
-    let mut record = |name: &'static str,
-                      group: &'static str,
-                      unit: &'static str,
-                      work: f64,
-                      baseline_ms: f64,
-                      optimized_ms: f64| {
-        let m = Measurement {
-            name,
-            group,
-            unit,
-            work,
-            baseline_ms,
-            optimized_ms,
-        };
-        println!(
-            "{:<14} {:>12.3} {:>12.3} {:>8.2}x  {:.0} → {:.0} {}",
-            m.name,
-            m.baseline_ms,
-            m.optimized_ms,
-            m.speedup(),
-            m.baseline_rate(),
-            m.optimized_rate(),
-            m.unit
-        );
-        measurements.push(m);
-    };
+    let mut snap = Snapshot::new("scale perf snapshot: sweep (base) vs event-driven (fast)");
 
     // Billing: the 10⁴ cell keeps a shorter horizon so the baseline's
     // O(tenant-minutes) replay stays cheap, but the 10⁵ gate cell runs
     // the full two-day window: increment mode's cost is dominated by
     // horizon-independent per-tenant work (interning, close folds), so
     // a short window would understate the steady-state speedup the gate
-    // is protecting.
+    // is protecting. The 10⁵ sweep takes seconds per pass, so that cell
+    // runs 2 rounds.
     let rates = Rates::default();
-    let billing_cells: [(&'static str, usize, u64); 3] = [
-        ("billing_1e3", 1_000, 2 * 24 * 60 + 360),
-        ("billing_1e4", 10_000, 24 * 60 + 30),
-        ("billing_1e5", 100_000, 2 * 24 * 60 + 360),
+    let billing_cells: [(&str, usize, u64, u32); 3] = [
+        ("billing_1e3", 1_000, 2 * 24 * 60 + 360, 3),
+        ("billing_1e4", 10_000, 24 * 60 + 30, 3),
+        ("billing_1e5", 100_000, 2 * 24 * 60 + 360, 2),
     ];
-    let mut memory: Vec<MemoryPoint> = Vec::new();
-    for (name, tenants, horizon_min) in billing_cells {
+    let mut rss = Vec::new();
+    for (name, tenants, horizon_min, rounds) in billing_cells {
         let s = build_schedule(tenants, horizon_min, derive_seed(SEED, tenants as u64));
-        let inc = incremental_invoices(&s, rates);
-        let sweep = sweep_invoices(&s, rates);
-        assert_eq!(inc, sweep, "{name}: increment mode diverged from sweeps");
-        let opt = best_ms(3, || {
-            incremental_invoices(&s, rates);
-        });
-        let base = best_ms(2, || {
-            sweep_invoices(&s, rates);
-        });
-        record(
-            name,
-            "billing",
-            "samples/s",
-            sweep_event_count(&s) as f64,
-            base,
-            opt,
-        );
-        if tenants >= 10_000 {
-            let mem_name: &'static str = if tenants == 10_000 {
-                "billing_rss_1e4"
-            } else {
-                "billing_rss_1e5"
-            };
-            let (peak, _) = measure_peak(|| incremental_invoices(&s, rates));
-            memory.push(MemoryPoint {
-                name: mem_name,
-                tenants,
-                peak_bytes: peak,
+        let (mut sweep, mut inc) = (Vec::new(), Vec::new());
+        let work = sweep_event_count(&s) as f64;
+        snap.group("billing", "samples/s")
+            .measure(name, work, rounds, |side| match side {
+                Side::Base => sweep = sweep_invoices(&s, rates),
+                Side::Fast => inc = incremental_invoices(&s, rates),
             });
+        assert_eq!(inc, sweep, "{name}: increment mode diverged from sweeps");
+        if tenants >= 10_000 {
+            let (peak, _) = measure_peak(|| incremental_invoices(&s, rates));
+            rss.push((format!("billing_rss_1e{}", tenants.ilog10()), tenants, peak));
         }
     }
 
-    // Monitor: pure scheduling cost over a healthy fleet.
-    for (name, hosts, per_host, ticks) in [
-        ("monitor_1e3", 250usize, 4usize, 3600u64),
-        ("monitor_1e4", 1_000, 10, 1_800),
+    // Monitor: pure scheduling cost over a healthy fleet. The 10⁴ scan
+    // takes seconds per pass, so that cell runs 2 rounds.
+    for (name, hosts, per_host, ticks, rounds) in [
+        ("monitor_1e3", 250usize, 4usize, 3600u64, 3),
+        ("monitor_1e4", 1_000, 10, 1_800, 2),
     ] {
-        let (base, opt) = run_monitor_pair(hosts, per_host, ticks);
+        let (agents, defs) = monitor_fleet(hosts, per_host, 300);
+        let agent_map: BTreeMap<String, &HostAgent> =
+            agents.iter().map(|a| (a.hostname.clone(), a)).collect();
         let work = (hosts * per_host) as f64 * ticks as f64;
-        record(name, "monitor", "decisions/s", work, base, opt);
+        // The two masters share the `add_service` / `tick` /
+        // `notifications` surface.
+        macro_rules! drive {
+            ($master:expr) => {{
+                let mut master = $master;
+                for def in &defs {
+                    master.add_service(def.clone());
+                }
+                for s in 0..ticks {
+                    master.tick(SimTime(s * 1_000_000_000), &agent_map);
+                }
+                master.notifications.len()
+            }};
+        }
+        let mut monitor = snap.group("monitor", "decisions/s");
+        monitor.measure(name, work, rounds, |side| {
+            let notified = match side {
+                Side::Base => drive!(ScanMaster::new()),
+                Side::Fast => drive!(NagiosMaster::new()),
+            };
+            assert_eq!(notified, 0, "healthy fleet notified");
+        });
     }
 
     println!();
-    for p in &memory {
-        println!(
-            "{:<16} peak {:>12} bytes over {} tenants = {:.1} bytes/tenant",
-            p.name,
-            p.peak_bytes,
-            p.tenants,
-            p.bytes_per_tenant()
-        );
+    for (name, tenants, peak) in rss {
+        snap.record_memory(&name, tenants, peak);
     }
-
-    std::fs::write(&out_path, snapshot_json(&measurements, &memory)).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    println!("\nsnapshot written to {out_path}");
-
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        match check_against(&baseline, &measurements, &memory) {
-            Ok(failures) if failures.is_empty() => {
-                println!(
-                    "check vs {path}: speedups within {REGRESSION_FACTOR}x of baseline, \
-                     scale-gated cells hold {MIN_SCALE_SPEEDUP}x, RSS/tenant bounded"
-                );
-            }
-            Ok(failures) => {
-                for f in &failures {
-                    eprintln!("REGRESSION: {f}");
-                }
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("cannot check baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    cli.finish(&snap, check);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fake(speedups: &[(&'static str, &'static str, f64)]) -> Vec<Measurement> {
+    fn rows(speedups: &[(&str, f64)]) -> Vec<Row> {
         speedups
             .iter()
-            .map(|&(name, group, speedup)| Measurement {
-                name,
-                group,
-                unit: "samples/s",
-                work: 1e6,
-                baseline_ms: 100.0 * speedup,
-                optimized_ms: 100.0,
-            })
+            .map(|&(name, speedup)| Row::new(name, "billing", "samples/s", 1e6, speedup, 1.0))
             .collect()
     }
 
-    fn fake_mem(bytes_per_tenant: f64) -> Vec<MemoryPoint> {
-        vec![
-            MemoryPoint {
-                name: "billing_rss_1e4",
-                tenants: 10_000,
-                peak_bytes: (bytes_per_tenant * 10_000.0) as i64,
-            },
-            MemoryPoint {
-                name: "billing_rss_1e5",
-                tenants: 100_000,
-                peak_bytes: (bytes_per_tenant * 100_000.0) as i64,
-            },
-        ]
+    fn memory(bytes_per_tenant: f64) -> Vec<MemoryPoint> {
+        [("billing_rss_1e4", 10_000), ("billing_rss_1e5", 100_000)]
+            .map(|(name, tenants)| MemoryPoint {
+                name: name.into(),
+                tenants,
+                peak_bytes: (bytes_per_tenant * tenants as f64) as i64,
+            })
+            .into()
     }
 
-    const FULL: &[(&str, &str, f64)] = &[
-        ("billing_1e3", "billing", 40.0),
-        ("billing_1e4", "billing", 60.0),
-        ("billing_1e5", "billing", 80.0),
-        ("monitor_1e3", "monitor", 8.0),
-        ("monitor_1e4", "monitor", 25.0),
-    ];
-
-    #[test]
-    fn snapshot_round_trips_through_check() {
-        let snap = snapshot_json(&fake(FULL), &fake_mem(600.0));
-        assert!(check_against(&snap, &fake(FULL), &fake_mem(600.0))
-            .expect("parses")
-            .is_empty());
+    fn base(bytes_per_tenant: f64) -> Vec<(String, f64)> {
+        let name = |p: MemoryPoint| (p.name, bytes_per_tenant);
+        memory(bytes_per_tenant).into_iter().map(name).collect()
     }
 
     #[test]
     fn scale_floor_is_enforced() {
-        let snap = snapshot_json(&fake(FULL), &fake_mem(600.0));
-        let mut sagging = FULL.to_vec();
-        sagging[1].2 = 6.0; // billing_1e4 falls under the 10x floor
-        let failures = check_against(&snap, &fake(&sagging), &fake_mem(600.0)).expect("parses");
-        assert!(
-            failures.iter().any(|f| f.contains("scale-pass floor")),
-            "{failures:?}"
-        );
+        let full = [
+            ("billing_1e4", 60.0),
+            ("billing_1e5", 80.0),
+            ("monitor_1e4", 25.0),
+        ];
+        assert!(scale_floor_rule(&rows(&full)).is_empty());
+        // billing_1e4 falls under the 10x floor and monitor_1e4 is unmeasured.
+        let failures = scale_floor_rule(&rows(&[("billing_1e4", 9.9), ("billing_1e5", 80.0)]));
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        let floor = "billing_1e4: speedup 9.90x below the 10x scale-pass floor";
+        assert_eq!(failures[0], floor);
     }
 
     #[test]
     fn rss_growth_is_flagged() {
-        let snap = snapshot_json(&fake(FULL), &fake_mem(600.0));
-        let failures = check_against(&snap, &fake(FULL), &fake_mem(900.0)).expect("parses");
+        assert!(memory_rule(&base(600.0), &memory(740.0)).is_empty());
+        let failures = memory_rule(&base(600.0), &memory(900.0));
+        assert_eq!(failures.len(), 2, "{failures:?}");
         assert!(
-            failures.iter().any(|f| f.contains("bytes/tenant")),
+            failures[0].contains("bytes/tenant exceeds 750.0"),
             "{failures:?}"
         );
     }
 
     #[test]
     fn rss_hard_cap_is_enforced_even_if_baseline_agrees() {
-        let snap = snapshot_json(&fake(FULL), &fake_mem(5000.0));
-        let failures = check_against(&snap, &fake(FULL), &fake_mem(5000.0)).expect("parses");
+        let failures = memory_rule(&base(5000.0), &memory(5000.0));
         assert!(
             failures.iter().any(|f| f.contains("hard cap")),
             "{failures:?}"
@@ -606,9 +366,8 @@ mod tests {
     }
 
     #[test]
-    fn missing_scenario_is_flagged() {
-        let snap = snapshot_json(&fake(FULL), &fake_mem(600.0));
-        let failures = check_against(&snap, &fake(&FULL[..3]), &fake_mem(600.0)).expect("parses");
-        assert!(!failures.is_empty());
+    fn checked_in_baseline_passes_its_own_check() {
+        let base = Baseline::parse(include_str!("../../../../BENCH_scale.json")).expect("parses");
+        assert_eq!(check(&base, &base.replay()), Ok(vec![]));
     }
 }

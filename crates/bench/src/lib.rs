@@ -1,29 +1,18 @@
-//! Shared output helpers for the table/figure harnesses.
+//! The table/figure harnesses and the perf gates of the reproduction.
 //!
-//! Every `src/bin/*` harness regenerates one table or figure of the
-//! paper and prints it in the same rows/columns the paper uses, plus the
-//! paper's published values for side-by-side comparison. The helpers
-//! here keep that output consistent.
-//!
+//! [`harness`] holds one module per paper table, figure or experiment;
+//! the `src/bin/*` wrappers run them through [`harness::HarnessCtx`],
+//! which owns banners, shared flags, `--trace` output and manifests.
+//! [`gate`] is the perf gate shared by the four seed-speedup baselines
+//! (`bench_fluid`, `bench_hotpath`, `bench_runner`, `bench_scale`).
 //! [`scale`] holds the shared tenant-scale workload driven by both
 //! `exp_scale` (correctness + determinism) and `bench_scale` (wall
 //! clock + peak memory).
 
+pub mod gate;
 pub mod harness;
 pub mod manifest;
 pub mod scale;
-
-/// Print a harness banner naming the artifact being regenerated.
-pub fn banner(artifact: &str, description: &str) {
-    println!("{}", "=".repeat(78));
-    println!("{artifact} — {description}");
-    println!("{}", "=".repeat(78));
-}
-
-/// Print a seed line so any run can be replayed.
-pub fn seed_line(seed: u64) {
-    println!("(deterministic run, seed = {seed})\n");
-}
 
 /// Render one row of a fixed-width table.
 pub fn row(cells: &[&str], widths: &[usize]) -> String {
@@ -35,32 +24,37 @@ pub fn row(cells: &[&str], widths: &[usize]) -> String {
         .join("  ")
 }
 
-/// A `measured vs paper` comparison cell like `752 (paper 752)`.
-pub fn vs(measured: f64, paper: f64, unit: &str) -> String {
-    format!("{measured:.0}{unit} (paper {paper:.0}{unit})")
+/// The value of `--flag <v>` or `--flag=v` in an argument list; an error
+/// saying the flag requires `what` when it is last with no value.
+pub(crate) fn flag_value<'a>(
+    args: &'a [String],
+    flag: &str,
+    what: &str,
+) -> Result<Option<&'a str>, String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a == flag {
+            let v = it.next().ok_or(format!("{flag} requires {what}"))?;
+            return Ok(Some(v));
+        }
+        if let Some(v) = a.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
+            return Ok(Some(v));
+        }
+    }
+    Ok(None)
+}
+
+/// Print a usage error and exit with status 2.
+pub(crate) fn usage_error<T>(message: String) -> T {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
 /// Parse `--trace <path>` out of an argument list (the harnesses' shared
 /// flag for emitting a telemetry JSONL artifact).
 pub fn trace_path_from(args: &[String]) -> Option<std::path::PathBuf> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--trace" {
-            return Some(std::path::PathBuf::from(it.next().unwrap_or_else(|| {
-                eprintln!("--trace requires a path argument");
-                std::process::exit(2);
-            })));
-        }
-        if let Some(p) = a.strip_prefix("--trace=") {
-            return Some(std::path::PathBuf::from(p));
-        }
-    }
-    None
-}
-
-/// [`trace_path_from`] over the process arguments.
-pub fn trace_path() -> Option<std::path::PathBuf> {
-    trace_path_from(&std::env::args().skip(1).collect::<Vec<_>>())
+    let path = flag_value(args, "--trace", "a path argument").unwrap_or_else(usage_error);
+    path.map(std::path::PathBuf::from)
 }
 
 /// Parse the harnesses' shared `--jobs <N>` flag out of an argument list.
@@ -70,35 +64,13 @@ pub fn trace_path() -> Option<std::path::PathBuf> {
 /// Absent the flag, harnesses default to the host's parallelism
 /// ([`osdc_sim::available_jobs`]); timing-sensitive benches default to 1.
 pub fn jobs_from(args: &[String], default: usize) -> usize {
+    let jobs = flag_value(args, "--jobs", "a worker count argument").unwrap_or_else(usage_error);
     let parse = |s: &str| -> usize {
         s.parse().unwrap_or_else(|_| {
-            eprintln!("--jobs requires a positive integer, got {s:?}");
-            std::process::exit(2);
+            usage_error(format!("--jobs requires a positive integer, got {s:?}"))
         })
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            return parse(it.next().unwrap_or_else(|| {
-                eprintln!("--jobs requires a worker count argument");
-                std::process::exit(2);
-            }))
-            .max(1);
-        }
-        if let Some(n) = a.strip_prefix("--jobs=") {
-            return parse(n).max(1);
-        }
-    }
-    default.max(1)
-}
-
-/// [`jobs_from`] over the process arguments, defaulting to the host's
-/// available parallelism.
-pub fn jobs() -> usize {
-    jobs_from(
-        &std::env::args().skip(1).collect::<Vec<_>>(),
-        osdc_sim::available_jobs(),
-    )
+    jobs.map_or(default, parse).max(1)
 }
 
 /// Parse the harnesses' shared fluid-solver flags out of an argument list:
@@ -115,23 +87,6 @@ pub fn solver_mode_from(args: &[String]) -> osdc_net::SolverMode {
     }
 }
 
-/// [`solver_mode_from`] over the process arguments.
-pub fn solver_mode() -> osdc_net::SolverMode {
-    solver_mode_from(&std::env::args().skip(1).collect::<Vec<_>>())
-}
-
-/// Write the telemetry JSONL artifact and print the ops report — the
-/// shared tail of every `--trace`-capable harness.
-pub fn finish_trace(tele: &osdc_telemetry::Telemetry, path: &std::path::Path) {
-    tele.export_jsonl_to(path).unwrap_or_else(|e| {
-        eprintln!("cannot write trace to {}: {e}", path.display());
-        std::process::exit(1);
-    });
-    println!();
-    print!("{}", tele.ops_report());
-    println!("trace written to {}", path.display());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,11 +95,6 @@ mod tests {
     fn row_alignment() {
         let r = row(&["a", "bb"], &[3, 4]);
         assert_eq!(r, "  a    bb");
-    }
-
-    #[test]
-    fn vs_formatting() {
-        assert_eq!(vs(751.6, 752.0, ""), "752 (paper 752)");
     }
 
     #[test]
