@@ -19,9 +19,14 @@
 //!
 //! Beyond the window counters, the allocator tracks **live bytes** (a
 //! running alloc-minus-dealloc balance) and its **high-water mark** —
-//! an RSS proxy the `bench_scale` harness uses to gate peak memory per
-//! tenant. Use [`reset_peak`] at a measurement boundary and
-//! [`peak_live_bytes`] after the workload.
+//! an RSS proxy `bench_ledger` uses to gate peak memory per tenant. Use
+//! [`reset_peak`] at a measurement boundary and [`peak_live_bytes`]
+//! after the workload.
+//!
+//! `bench_ledger` and `perfbench` install it for the whole process, so
+//! every timed path pays a few thread-local counter updates per
+//! allocation; the ledger's speedup rows compare two paths that both pay
+//! it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -132,7 +137,7 @@ pub fn live_bytes() -> i64 {
 }
 
 /// High-water mark of [`live_bytes`] since the last [`reset_peak`] (or
-/// thread start). The `bench_scale` RSS-per-tenant gate reads this.
+/// thread start). The `bench_ledger` RSS-per-tenant gate reads this.
 pub fn peak_live_bytes() -> i64 {
     PEAK_LIVE.with(|c| c.get())
 }

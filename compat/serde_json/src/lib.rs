@@ -355,22 +355,21 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| Error::custom("invalid number"))?;
-        let num = if is_float {
-            Number::Float(
-                text.parse::<f64>()
-                    .map_err(|_| Error::custom(format!("invalid number `{text}`")))?,
-            )
-        } else if let Some(stripped) = text.strip_prefix('-') {
-            let _ = stripped;
-            Number::NegInt(
-                text.parse::<i64>()
-                    .map_err(|_| Error::custom(format!("invalid number `{text}`")))?,
-            )
-        } else {
-            Number::PosInt(
-                text.parse::<u64>()
-                    .map_err(|_| Error::custom(format!("invalid number `{text}`")))?,
-            )
+        let int = match (is_float, text.starts_with('-')) {
+            (true, _) => None,
+            (false, true) => text.parse::<i64>().ok().map(Number::NegInt),
+            (false, false) => text.parse::<u64>().ok().map(Number::PosInt),
+        };
+        // Floats, and integers beyond the 64-bit range, parse as f64, as
+        // upstream serde_json does; only a result that is not finite is
+        // out of range.
+        let num = match int {
+            Some(n) => n,
+            None => match text.parse::<f64>() {
+                Ok(f) if f.is_finite() => Number::Float(f),
+                Ok(_) => return Err(Error::custom(format!("number out of range `{text}`"))),
+                Err(_) => return Err(Error::custom(format!("invalid number `{text}`"))),
+            },
         };
         Ok(Value::Number(num))
     }
@@ -533,6 +532,25 @@ mod tests {
             to_string(&v).expect("ok"),
             "[-3,18446744073709551615,2500.0]"
         );
+    }
+
+    #[test]
+    fn integers_beyond_64_bits_parse_as_floats() {
+        let digits301 = format!("1{}", "0".repeat(300));
+        for (text, expected) in [
+            (digits301.as_str(), 1e300),
+            ("18446744073709551616", 18446744073709551616.0),
+            ("-9223372036854775809", -9223372036854775809.0),
+        ] {
+            let v: Value = from_str(text).expect("parses");
+            assert_eq!(
+                (v.as_f64(), v.as_u64(), v.as_i64()),
+                (Some(expected), None, None)
+            );
+        }
+        let too_big = format!("1{}", "0".repeat(400));
+        assert!(from_str::<Value>(&too_big).is_err());
+        assert!(from_str::<Value>("-1e400").is_err());
     }
 
     #[test]

@@ -1,141 +1,48 @@
 //! Fluid-solver microbenches: the reference per-tick max-min allocator vs
-//! the epoch solver, on the scenarios the paper's harnesses actually run.
+//! the epoch solver, on the scenarios of [`osdc_bench::fluid`], which
+//! mirror the shapes the paper's harnesses actually run.
 //!
-//! Three shapes matter:
-//! * `mixed_cc_4000_ticks` — Reno + UDT + constant flows stepping through
-//!   loss, the Table 3 pipeline shape. Epoch mode wins by skipping solves
-//!   while desires hold within tolerance.
-//! * `constant_run_until` — one long-lived constant-rate bulk flow driven
-//!   by `run_until`, the resilience-campaign shape. Epoch mode wins by
-//!   jumping analytically between allocation-changing events.
-//! * `link_flap_partial` — chaos-style link flaps on a background flow
-//!   set; the epoch solver re-solves only flows crossing the dirtied link.
-//!
-//! `BENCH_fluid.json` (checked in at the repo root) snapshots the same
-//! scenarios through `src/bin/bench_fluid.rs` for CI regression checks.
+//! `bench_ledger`'s fluid suite times the same scenarios into `BENCH.json`
+//! (checked in at the repo root) for CI regression checks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use osdc_net::{
-    osdc_wan, CongestionControl, FlowSpec, FluidNet, LinkId, NodeId, OsdcSite, SolverMode, Topology,
-};
-use osdc_sim::{SimDuration, SimTime};
+use osdc_bench::fluid::{constant_run_until_90m, link_flap_partial, mixed_cc_4000_ticks};
+use osdc_net::{SolverMode, SolverStats};
 
-/// Chicago → LVOC mixed-CC flow set over the real WAN, mirroring the
-/// Table 3 pipeline: a Reno flow, a UDT flow, and an app-limited constant.
-fn mixed_net(mode: SolverMode) -> FluidNet {
-    let wan = osdc_wan(1e-7);
-    let src = wan.node(OsdcSite::ChicagoKenwood);
-    let dst = wan.node(OsdcSite::Lvoc);
-    let mut net = FluidNet::with_solver(wan.topology, 42, mode);
-    for cc in [
-        CongestionControl::reno(0.104),
-        CongestionControl::udt(10e9),
-        CongestionControl::Constant { rate_bps: 1.5e9 },
-    ] {
-        net.start_flow(FlowSpec {
-            src,
-            dst,
-            bytes: u64::MAX / 4,
-            cc,
-            app_limit_bps: 3e9,
-        })
-        .expect("route");
-    }
-    net
-}
+/// (scenario, workload, solver modes to time it under).
+type Scenario<'a> = (
+    &'a str,
+    fn(SolverMode) -> SolverStats,
+    &'a [(&'a str, SolverMode)],
+);
 
-fn bench_mixed(c: &mut Criterion) {
+fn bench_solver(c: &mut Criterion) {
     let mut group = c.benchmark_group("fluid_solver");
-    for (label, mode) in [
-        ("mixed_cc_4000_ticks/reference", SolverMode::Reference),
-        ("mixed_cc_4000_ticks/tick_compat", SolverMode::TICK_COMPAT),
-        ("mixed_cc_4000_ticks/epoch", SolverMode::DEFAULT),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut net = mixed_net(mode);
-                for _ in 0..4000 {
-                    net.step();
-                }
-                net.solver_stats().solves
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_run_until(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fluid_solver");
-    for (label, mode) in [
-        ("constant_run_until/reference", SolverMode::Reference),
-        ("constant_run_until/epoch", SolverMode::DEFAULT),
-    ] {
-        group.bench_function(label, |b| {
-            let wan = osdc_wan(1.2e-7);
-            let src = wan.node(OsdcSite::ChicagoKenwood);
-            let dst = wan.node(OsdcSite::Lvoc);
-            let topo = wan.topology;
-            b.iter(|| {
-                let mut net = FluidNet::with_solver(topo.clone(), 7, mode);
-                net.start_flow(FlowSpec {
-                    src,
-                    dst,
-                    bytes: u64::MAX / 4,
-                    cc: CongestionControl::Constant { rate_bps: 4e9 },
-                    app_limit_bps: f64::INFINITY,
-                })
-                .expect("route");
-                net.run_until(SimTime::ZERO + SimDuration::from_mins(90));
-                net.solver_stats().ticks
-            })
-        });
-    }
-    group.finish();
-}
-
-/// A 6-node line + star topology with one hot link the flap targets.
-fn flap_topology() -> (Topology, Vec<(usize, usize)>, LinkId) {
-    let mut topo = Topology::new();
-    let nodes: Vec<_> = (0..6).map(|i| topo.add_node(format!("n{i}"))).collect();
-    let mut first = None;
-    for w in nodes.windows(2) {
-        let (a, b) = topo.add_duplex_link(w[0], w[1], 10e9, SimDuration::from_millis(10), 0.0);
-        first.get_or_insert(a);
-        let _ = b;
-    }
-    let pairs = vec![(0usize, 5usize), (1, 4), (2, 5), (0, 3)];
-    (topo, pairs, first.expect("line has links"))
-}
-
-fn bench_flap(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fluid_solver");
-    for (label, mode) in [
-        ("link_flap_partial/reference", SolverMode::Reference),
-        ("link_flap_partial/epoch", SolverMode::DEFAULT),
-    ] {
-        group.bench_function(label, |b| {
-            let (topo, pairs, hot) = flap_topology();
-            b.iter(|| {
-                let mut net = FluidNet::with_solver(topo.clone(), 11, mode);
-                for &(s, d) in &pairs {
-                    net.start_flow(FlowSpec {
-                        src: NodeId(s),
-                        dst: NodeId(d),
-                        bytes: u64::MAX / 8,
-                        cc: CongestionControl::Constant { rate_bps: 2e9 },
-                        app_limit_bps: f64::INFINITY,
-                    })
-                    .expect("route");
-                }
-                for i in 0..200 {
-                    net.set_link_up(hot, i % 2 == 1);
-                    for _ in 0..20 {
-                        net.step();
-                    }
-                }
-                net.solver_stats().solves
-            })
-        });
+    let epoch_vs_reference = [
+        ("reference", SolverMode::Reference),
+        ("epoch", SolverMode::DEFAULT),
+    ];
+    let scenarios: [Scenario; 3] = [
+        (
+            "mixed_cc_4000_ticks",
+            mixed_cc_4000_ticks,
+            &[
+                ("reference", SolverMode::Reference),
+                ("tick_compat", SolverMode::TICK_COMPAT),
+                ("epoch", SolverMode::DEFAULT),
+            ],
+        ),
+        (
+            "constant_run_until",
+            constant_run_until_90m,
+            &epoch_vs_reference,
+        ),
+        ("link_flap_partial", link_flap_partial, &epoch_vs_reference),
+    ];
+    for (name, run, modes) in scenarios {
+        for &(label, mode) in modes {
+            group.bench_function(format!("{name}/{label}"), |b| b.iter(|| run(mode)));
+        }
     }
     group.finish();
 }
@@ -143,6 +50,6 @@ fn bench_flap(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_mixed, bench_run_until, bench_flap
+    targets = bench_solver
 }
 criterion_main!(benches);

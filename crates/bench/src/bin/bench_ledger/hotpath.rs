@@ -1,6 +1,6 @@
-//! Hot-path perf snapshot: the three paths the PR-8 speed pass attacked,
-//! each measured against a verbatim copy of the seed implementation it
-//! replaced, written to `BENCH_hotpath.json`.
+//! Hot-path suite: the three hot paths of DESIGN.md §11, each
+//! measured against a verbatim copy of the seed implementation it
+//! replaced (the base side).
 //!
 //! * **Scheduler** — the calendar-queue `osdc_sim::Engine` vs the seed's
 //!   reversed-`BinaryHeap` scheduler, under the classic hold model
@@ -15,17 +15,14 @@
 //!   `HashMap<u32, Vec<&Sig>>` + eager-MD5 generator. Metric: MB/s of
 //!   scanned input.
 //!
-//! The seed copy is the base side and today's path the fast side of
-//! [`osdc_bench::gate`], whose ratio check runs with a 10x cap. On top
-//! of that, the acceptance rule for the speed pass itself: at least two
-//! of the three hot-path groups must hold a ≥2x best speedup.
-//!
-//! Flags: `--out` and `--check` as in [`osdc_bench::gate`].
+//! On top of the ratio check, the acceptance rule for the speed pass
+//! itself: at least two of the three groups must hold a ≥2x best
+//! speedup.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
-use osdc_bench::gate::{self, Baseline, Cli, GateError, Row, Side, Snapshot};
+use osdc_bench::gate::{Row, Side, Snapshot};
 use osdc_crypto::md5::md5;
 use osdc_crypto::modes::ecb_encrypt;
 use osdc_crypto::{BlockCipher64, Blowfish, CbcEncryptor, CtrStream, TripleDes};
@@ -36,10 +33,10 @@ use osdc_transfer::delta::{
 };
 use osdc_transfer::rolling::{weak_checksum, RollingChecksum};
 
-/// Speedups compare after clamping here (beyond it is timer noise).
-const SPEEDUP_CAP: f64 = 10.0;
-/// The speed-pass acceptance rule: this many of the three hot-path
-/// groups must keep at least a 2x best speedup.
+/// The suite's groups.
+pub const GROUPS: [&str; 3] = ["scheduler", "cipher", "delta"];
+/// The speed-pass acceptance rule: this many of the three groups must
+/// keep at least a 2x best speedup.
 const MIN_FAST_GROUPS: usize = 2;
 const GROUP_TARGET_SPEEDUP: f64 = 2.0;
 
@@ -389,7 +386,7 @@ fn measure_cipher<B: BlockCipher64, F: BlockCipher64>(
 ) {
     let mb = CIPHER_BUF as f64 / (1024.0 * 1024.0);
     let mut buf = cipher_buf();
-    let mut ciphers = snap.group("cipher", "MB/s");
+    let mut ciphers = snap.group(GROUPS[1], "MB/s");
     ciphers.measure(&format!("{alg}_ecb"), mb, rounds, |side| match side {
         Side::Base => ecb_encrypt(base, &mut buf),
         Side::Fast => ecb_encrypt(fast, &mut buf),
@@ -507,45 +504,29 @@ fn pseudo_bytes(len: usize, seed: u64) -> Vec<u8> {
 
 // ---- The gate -------------------------------------------------------------
 
-/// The speed-pass acceptance rule: at least [`MIN_FAST_GROUPS`] groups
-/// hold a best speedup of [`GROUP_TARGET_SPEEDUP`] or more.
-fn fast_groups_rule(rows: &[Row]) -> Vec<String> {
-    let mut groups: Vec<&str> = rows.iter().map(|r| r.group.as_str()).collect();
-    groups.sort_unstable();
-    groups.dedup();
-    let fast = groups
+/// The speed-pass acceptance rule: at least [`MIN_FAST_GROUPS`] of
+/// [`GROUPS`] hold a best speedup of [`GROUP_TARGET_SPEEDUP`] or more.
+pub fn fast_groups_rule(rows: &[Row]) -> Vec<String> {
+    let best = |group: &str| {
+        let speedups = rows.iter().filter(|r| r.group == group).map(Row::speedup);
+        speedups.fold(0.0f64, f64::max)
+    };
+    let fast = GROUPS
         .iter()
-        .filter(|g| {
-            rows.iter()
-                .filter(|r| r.group == **g)
-                .map(Row::speedup)
-                .fold(0.0f64, f64::max)
-                >= GROUP_TARGET_SPEEDUP
-        })
+        .filter(|g| best(g) >= GROUP_TARGET_SPEEDUP)
         .count();
     if fast >= MIN_FAST_GROUPS {
         return Vec::new();
     }
     vec![format!(
         "only {fast} of {} hot-path groups hold a ≥{GROUP_TARGET_SPEEDUP}x speedup (need {MIN_FAST_GROUPS})",
-        groups.len()
+        GROUPS.len()
     )]
 }
 
-fn check(baseline: &Baseline, snap: &Snapshot) -> Result<Vec<String>, GateError> {
-    let mut failures = gate::check_speedups(baseline, snap, SPEEDUP_CAP, f64::INFINITY);
-    failures.extend(fast_groups_rule(&snap.rows));
-    Ok(failures)
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = Cli::from_args(&args, "BENCH_hotpath.json");
-
-    let mut snap = Snapshot::new("hot-path perf snapshot: seed copy (base) vs today's path (fast)");
-
+pub fn measure(snap: &mut Snapshot) {
     // Scheduler: hold model at three queue depths.
-    let mut scheduler = snap.group("scheduler", "events/s");
+    let mut scheduler = snap.group(GROUPS[0], "events/s");
     for (name, depth, events) in [
         ("scheduler_hold_1e2", 100u32, 2_000_000u64),
         ("scheduler_hold_1e4", 10_000, 1_000_000),
@@ -560,48 +541,44 @@ fn main() {
     // Ciphers. The seed 3DES takes seconds per pass, so it runs 2
     // rounds, not 4.
     let bf = Blowfish::new(b"table3-udr-blowfish");
-    measure_cipher(&mut snap, "blowfish", 4, &PerBlock(&bf), &bf);
+    measure_cipher(snap, "blowfish", 4, &PerBlock(&bf), &bf);
     let mut key = [0u8; 24];
     for (i, b) in key.iter_mut().enumerate() {
         *b = (i as u8).wrapping_mul(37).wrapping_add(11);
     }
     let (base_des, tdes) = (BaselineTripleDes::new(key), TripleDes::new(key));
-    measure_cipher(&mut snap, "tdes", 2, &base_des, &tdes);
+    measure_cipher(snap, "tdes", 2, &base_des, &tdes);
 
     // Delta generation: miss-dominated scan (disjoint files) and the
     // realistic scattered-edit sync.
-    {
-        let basis = pseudo_bytes(1 << 21, 1);
-        let target = pseudo_bytes(1 << 22, 2);
-        let sigs = compute_signatures(&basis, 2048);
-        let mut scratch = DeltaScratch::new();
-        let target_mb = target.len() as f64 / (1024.0 * 1024.0);
-        let mut delta = snap.group("delta", "MB/s");
-        delta.measure("delta_miss_scan", target_mb, 4, |side| {
-            let d = match side {
-                Side::Base => baseline_generate_delta(&sigs, &target),
-                Side::Fast => generate_delta_with(&sigs, &target, &mut scratch),
-            };
-            assert_eq!(d.literal_bytes, target.len());
-        });
+    let basis = pseudo_bytes(1 << 21, 1);
+    let target = pseudo_bytes(1 << 22, 2);
+    let sigs = compute_signatures(&basis, 2048);
+    let mut scratch = DeltaScratch::new();
+    let target_mb = target.len() as f64 / (1024.0 * 1024.0);
+    let mut delta = snap.group(GROUPS[2], "MB/s");
+    delta.measure("delta_miss_scan", target_mb, 4, |side| {
+        let d = match side {
+            Side::Base => baseline_generate_delta(&sigs, &target),
+            Side::Fast => generate_delta_with(&sigs, &target, &mut scratch),
+        };
+        assert_eq!(d.literal_bytes, target.len());
+    });
 
-        let mut edited = basis.clone();
-        for start in (0..edited.len()).step_by(128 * 1024) {
-            for b in &mut edited[start..start + 512] {
-                *b ^= 0xFF;
-            }
+    let mut edited = basis.clone();
+    for start in (0..edited.len()).step_by(128 * 1024) {
+        for b in &mut edited[start..start + 512] {
+            *b ^= 0xFF;
         }
-        let basis_mb = basis.len() as f64 / (1024.0 * 1024.0);
-        delta.measure("delta_scattered_edit", basis_mb, 4, |side| {
-            let d = match side {
-                Side::Base => baseline_generate_delta(&sigs, &edited),
-                Side::Fast => generate_delta_with(&sigs, &edited, &mut scratch),
-            };
-            assert!(d.matched_bytes > 0);
-        });
     }
-
-    cli.finish(&snap, check);
+    let basis_mb = basis.len() as f64 / (1024.0 * 1024.0);
+    delta.measure("delta_scattered_edit", basis_mb, 4, |side| {
+        let d = match side {
+            Side::Base => baseline_generate_delta(&sigs, &edited),
+            Side::Fast => generate_delta_with(&sigs, &edited, &mut scratch),
+        };
+        assert!(d.matched_bytes > 0);
+    });
 }
 
 #[cfg(test)]
@@ -623,11 +600,13 @@ mod tests {
             ("delta_miss_scan", "delta", 2.5),
         ]);
         assert!(fast_groups_rule(&two_fast).is_empty());
-        // One group alone at 2x or more: the 2-of-3 rule trips.
+        // One group alone at 2x or more: the 2-of-3 rule trips, whatever
+        // the other suites' groups hold.
         let one_fast = rows(&[
             ("scheduler_hold_1e4", "scheduler", 1.5),
             ("tdes_ctr", "cipher", 1.9),
             ("delta_miss_scan", "delta", 2.5),
+            ("billing_1e4", "billing", 20.0),
         ]);
         let failures = fast_groups_rule(&one_fast);
         assert!(
@@ -636,12 +615,6 @@ mod tests {
                 .any(|f| f.contains("only 1 of 3 hot-path groups")),
             "{failures:?}"
         );
-    }
-
-    #[test]
-    fn checked_in_baseline_passes_its_own_check() {
-        let base = Baseline::parse(include_str!("../../../../BENCH_hotpath.json")).expect("parses");
-        assert_eq!(check(&base, &base.replay()), Ok(vec![]));
     }
 
     #[test]

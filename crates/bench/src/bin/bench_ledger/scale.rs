@@ -1,6 +1,6 @@
-//! Scale perf snapshot: the tenant-sharded billing and the Nagios
-//! due-time wheel vs the sweep-based implementations they replaced,
-//! written to `BENCH_scale.json`.
+//! Scale suite: the tenant-sharded billing and the Nagios due-time
+//! wheel vs the sweep-based implementations they replaced (the base
+//! side).
 //!
 //! * **Billing** — the O(deltas) increment mode
 //!   (`record_cores_id`/`record_stored_id` + `close_month_at`) vs the
@@ -8,7 +8,7 @@
 //!   schedule, at 10³/10⁴/10⁵ tenants. Metric: samples/s — the
 //!   per-tenant-minute samples the sweep cadence performs and the
 //!   increment mode retires. Both sides must produce byte-identical
-//!   invoice batches, or the bench panics before writing a snapshot.
+//!   invoice batches, or the ledger panics before writing a snapshot.
 //! * **Monitor** — `NagiosMaster`'s wheel scheduler vs a verbatim copy
 //!   of the scan-everything tick (host list rebuilt and every service
 //!   visited per tick) over a healthy fleet, so the cost compared is
@@ -19,20 +19,14 @@
 //!   bytes/tenant both absolutely ([`RSS_HARD_CAP_BYTES`]) and
 //!   relatively against the checked-in snapshot.
 //!
-//! The sweep is the base side and the event-driven path the fast side of
-//! [`osdc_bench::gate`], whose ratio check runs with a 12.5x cap (beyond
-//! it the optimized side is sub-tens-of-ms and the exact ratio is timer
-//! noise; the capped floor lands exactly on the scale-pass bar). On top
-//! of that, the scale-pass acceptance rule itself: at 10⁴+ tenants the
-//! event-driven paths must hold at least a **10x** speedup over their
-//! sweep baselines, compared unclamped.
-//!
-//! Flags: `--out` and `--check` as in [`osdc_bench::gate`].
+//! On top of the ratio check, the scale-pass acceptance rule itself: at
+//! 10⁴+ tenants the event-driven paths must hold at least a **10x**
+//! speedup over their sweep baselines, compared unclamped.
 
 use std::collections::BTreeMap;
 
-use counting_alloc::{measure_peak, CountingAlloc};
-use osdc_bench::gate::{self, Baseline, Cli, GateError, MemoryPoint, Row, Side, Snapshot};
+use counting_alloc::measure_peak;
+use osdc_bench::gate::{MemoryPoint, Row, Side, Snapshot};
 use osdc_bench::scale::{
     build_schedule, incremental_invoices, monitor_fleet, sweep_event_count, sweep_invoices,
 };
@@ -42,15 +36,9 @@ use osdc_monitor::nrpe::HostAgent;
 use osdc_sim::{derive_seed, SimTime};
 use osdc_tukey::billing::Rates;
 
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc::new();
-
+pub const BILLING: &str = "billing";
+pub const MONITOR: &str = "monitor";
 const SEED: u64 = 2013;
-/// Speedups compare after clamping here: beyond it the optimized side
-/// is sub-tens-of-ms and the exact ratio is timer noise, so the
-/// relative floor saturates at `12.5 / 1.25` — exactly the scale-pass
-/// bar — instead of chasing a noisy best-ever ratio.
-const SPEEDUP_CAP: f64 = 12.5;
 /// The scale-pass acceptance floor at 10⁴+ tenants/services.
 const MIN_SCALE_SPEEDUP: f64 = 10.0;
 /// Scenarios the 10x floor applies to.
@@ -174,7 +162,7 @@ impl ScanMaster {
 
 /// The scale-pass acceptance rule: the [`SCALE_GATED`] cells hold
 /// [`MIN_SCALE_SPEEDUP`], unclamped.
-fn scale_floor_rule(rows: &[Row]) -> Vec<String> {
+pub fn scale_floor_rule(rows: &[Row]) -> Vec<String> {
     let mut failures = Vec::new();
     for name in SCALE_GATED {
         let Some(r) = rows.iter().find(|r| r.name == name) else {
@@ -193,7 +181,7 @@ fn scale_floor_rule(rows: &[Row]) -> Vec<String> {
 
 /// Bytes per tenant stay within [`RSS_REGRESSION_FACTOR`] of the
 /// baseline's and under [`RSS_HARD_CAP_BYTES`].
-fn memory_rule(baseline: &[(String, f64)], memory: &[MemoryPoint]) -> Vec<String> {
+pub fn memory_rule(baseline: &[(String, f64)], memory: &[MemoryPoint]) -> Vec<String> {
     let mut failures = Vec::new();
     for (name, base_bpt) in baseline {
         let Some(p) = memory.iter().find(|p| &p.name == name) else {
@@ -220,19 +208,7 @@ fn memory_rule(baseline: &[(String, f64)], memory: &[MemoryPoint]) -> Vec<String
     failures
 }
 
-fn check(baseline: &Baseline, snap: &Snapshot) -> Result<Vec<String>, GateError> {
-    let mut failures = gate::check_speedups(baseline, snap, SPEEDUP_CAP, f64::INFINITY);
-    failures.extend(scale_floor_rule(&snap.rows));
-    failures.extend(memory_rule(baseline.memory()?, &snap.memory));
-    Ok(failures)
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = Cli::from_args(&args, "BENCH_scale.json");
-
-    let mut snap = Snapshot::new("scale perf snapshot: sweep (base) vs event-driven (fast)");
-
+pub fn measure(snap: &mut Snapshot) {
     // Billing: the 10⁴ cell keeps a shorter horizon so the baseline's
     // O(tenant-minutes) replay stays cheap, but the 10⁵ gate cell runs
     // the full two-day window: increment mode's cost is dominated by
@@ -251,7 +227,7 @@ fn main() {
         let s = build_schedule(tenants, horizon_min, derive_seed(SEED, tenants as u64));
         let (mut sweep, mut inc) = (Vec::new(), Vec::new());
         let work = sweep_event_count(&s) as f64;
-        snap.group("billing", "samples/s")
+        snap.group(BILLING, "samples/s")
             .measure(name, work, rounds, |side| match side {
                 Side::Base => sweep = sweep_invoices(&s, rates),
                 Side::Fast => inc = incremental_invoices(&s, rates),
@@ -287,7 +263,7 @@ fn main() {
                 master.notifications.len()
             }};
         }
-        let mut monitor = snap.group("monitor", "decisions/s");
+        let mut monitor = snap.group(MONITOR, "decisions/s");
         monitor.measure(name, work, rounds, |side| {
             let notified = match side {
                 Side::Base => drive!(ScanMaster::new()),
@@ -301,7 +277,6 @@ fn main() {
     for (name, tenants, peak) in rss {
         snap.record_memory(&name, tenants, peak);
     }
-    cli.finish(&snap, check);
 }
 
 #[cfg(test)]
@@ -363,11 +338,5 @@ mod tests {
             failures.iter().any(|f| f.contains("hard cap")),
             "{failures:?}"
         );
-    }
-
-    #[test]
-    fn checked_in_baseline_passes_its_own_check() {
-        let base = Baseline::parse(include_str!("../../../../BENCH_scale.json")).expect("parses");
-        assert_eq!(check(&base, &base.replay()), Ok(vec![]));
     }
 }

@@ -1,25 +1,23 @@
-//! The perf gate shared by the four seed-speedup baselines: `bench_fluid`,
-//! `bench_hotpath`, `bench_runner` and `bench_scale`.
+//! The perf gate of `bench_ledger`, the one binary that re-measures
+//! every seed-speedup claim into `BENCH.json`.
 //!
-//! Each suite times scenarios on a *base* side (the seed reference, the
+//! Each scenario is timed on a *base* side (the seed reference, the
 //! serial run, or the per-tick solver) and a *fast* side (the optimized
-//! path) and writes a snapshot such as `BENCH_fluid.json`. Wall times vary
-//! across machines, so `--check` compares **speedups**, which divide the
-//! machine out: a scenario regresses when its measured speedup, clamped to
-//! the suite's cap, falls below `min(baseline, cap, ceiling) /
-//! REGRESSION_FACTOR`. Beyond the cap the fast side takes milliseconds and
-//! the exact ratio is timer noise. The ceiling is a limit of the checking
-//! host (the runner's core count), infinite for the other suites. Rules
-//! that belong to one suite stay in its binary and add failure lines.
+//! path). Wall times vary across machines, so `--check` compares
+//! **speedups**, which divide the machine out: a scenario regresses when
+//! its measured speedup, clamped to its group's cap, falls below
+//! `min(baseline, cap, ceiling) / REGRESSION_FACTOR`. Beyond the cap the
+//! fast side takes milliseconds and the exact ratio is timer noise. The
+//! ceiling is a limit of the checking host (the runner's core count),
+//! infinite for most groups. Rules that belong to one suite stay in the
+//! ledger's suite modules and add failure lines.
 //!
-//! The suites stay four processes: `bench_scale` installs a counting
-//! global allocator, which would tax the other suites' allocation-heavy
-//! seed baselines.
-//!
-//! The four binaries share the flags `--out <path>` (where to write the
-//! snapshot; default: the suite's checked-in file) and `--check
-//! <baseline>` (gate against a baseline). They exit 1 on a regression, an
-//! unwritable snapshot or an unreadable baseline, and 2 when a flag lacks
+//! The ledger takes two flags, `--out <path>` (where to write the
+//! snapshot) and `--check <baseline>` (gate against a baseline). A run
+//! without `--check` writes to the checked-in file; a `--check` run
+//! writes only where `--out` points, and reads its baseline before it
+//! measures anything. It exits 1 on a regression, an unwritable snapshot
+//! or an unreadable baseline, and 2 on an unknown flag or one that lacks
 //! its value.
 //!
 //! Snapshot schema 2; `memory` is present only when a suite records it,
@@ -332,18 +330,29 @@ impl Baseline {
 }
 
 /// The ratio check. Every baseline scenario must be measured, and its
-/// measured speedup, clamped to `cap`, must reach
-/// `min(baseline, cap, ceiling) / REGRESSION_FACTOR`; pass `f64::INFINITY`
-/// as `ceiling` when the suite has none. Returns one failure line per
+/// measured speedup, clamped to its group's `cap`, must reach
+/// `min(baseline, cap, ceiling) / REGRESSION_FACTOR`; `ceiling` returns
+/// `f64::INFINITY` for a group without one. Returns one failure line per
 /// regression (empty = pass).
-pub fn check_speedups(baseline: &Baseline, snap: &Snapshot, cap: f64, ceiling: f64) -> Vec<String> {
-    let limit = cap.min(ceiling);
+pub fn check_speedups(
+    baseline: &Baseline,
+    snap: &Snapshot,
+    cap: impl Fn(&str) -> f64,
+    ceiling: impl Fn(&str) -> f64,
+) -> Vec<String> {
     let mut failures = Vec::new();
-    for BaselineScenario { name, speedup, .. } in &baseline.scenarios {
+    for BaselineScenario {
+        name,
+        group,
+        speedup,
+    } in &baseline.scenarios
+    {
         let Some(row) = snap.rows.iter().find(|r| &r.name == name) else {
             failures.push(format!("scenario {name} in baseline but not measured"));
             continue;
         };
+        let cap = cap(group);
+        let limit = cap.min(ceiling(group));
         let floor = speedup.min(limit) / REGRESSION_FACTOR;
         let measured = row.speedup();
         if measured.min(cap) < floor {
@@ -355,53 +364,92 @@ pub fn check_speedups(baseline: &Baseline, snap: &Snapshot, cap: f64, ceiling: f
     failures
 }
 
-/// The gate binaries' shared flags: `--out <path>` (default: the suite's
-/// snapshot file) and `--check <baseline>`. Other flags are left to the
-/// binary.
+/// Print `message` and exit 1: the gate's failure exit.
+pub fn fail(message: String) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1);
+}
+
+/// The ledger's flags: `--out <path>` and `--check <baseline>`, with the
+/// baseline read before anything is measured.
 #[derive(Debug)]
 pub struct Cli {
-    pub out: String,
-    pub check: Option<String>,
+    out: Option<String>,
+    check: Option<(String, Baseline)>,
+}
+
+/// `(out, check)` paths from the argument list. A run without `--check`
+/// writes to `default_out`; a `--check` run writes only where `--out`
+/// points, so it can never overwrite the baseline it checks against.
+fn parse_flags(
+    args: &[String],
+    default_out: &str,
+) -> Result<(Option<String>, Option<String>), String> {
+    let (mut out, mut check) = (None, None);
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) => (flag, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        let slot = match flag {
+            "--out" => &mut out,
+            "--check" => &mut check,
+            _ => {
+                return Err(format!(
+                    "unknown argument {arg:?}: the flags are --out <path> and --check <baseline>"
+                ))
+            }
+        };
+        let value = inline.or_else(|| it.next().map(String::as_str));
+        *slot = Some(
+            value
+                .ok_or(format!("{flag} requires a path argument"))?
+                .to_string(),
+        );
+    }
+    if check.is_none() {
+        out.get_or_insert_with(|| default_out.to_string());
+    }
+    Ok((out, check))
 }
 
 impl Cli {
-    /// Parse the shared flags; a flag without a value is an error.
-    pub fn parse(args: &[String], default_out: &str) -> Result<Cli, String> {
-        let path = |flag| crate::flag_value(args, flag, "a path argument");
-        Ok(Cli {
-            out: path("--out")?.unwrap_or(default_out).to_string(),
-            check: path("--check")?.map(str::to_string),
-        })
-    }
-
-    /// [`Cli::parse`], exiting with status 2 on a usage error.
+    /// Parse the flags, exiting 2 on a usage error, then read and parse
+    /// the `--check` baseline, exiting 1 when that fails.
     pub fn from_args(args: &[String], default_out: &str) -> Cli {
-        Cli::parse(args, default_out).unwrap_or_else(crate::usage_error)
+        let (out, check) = parse_flags(args, default_out).unwrap_or_else(crate::usage_error);
+        let check = check.map(|path| {
+            let baseline = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read baseline {path}: {e}"))
+                .and_then(|text| {
+                    Baseline::parse(&text).map_err(|e| format!("cannot check baseline {path}: {e}"))
+                })
+                .unwrap_or_else(|e| fail(e));
+            (path, baseline)
+        });
+        Cli { out, check }
     }
 
-    /// Write the snapshot to `--out`, then, with `--check`, run `check`
-    /// against the baseline. Prints each failure as a `REGRESSION:` line;
-    /// exits 1 on any failure, an unwritable snapshot or an unreadable
-    /// baseline.
+    /// Write the snapshot where `--out` points, then, with `--check`, run
+    /// `check` against the baseline. Prints each failure as a
+    /// `REGRESSION:` line; exits 1 on any failure or an unwritable
+    /// snapshot.
     pub fn finish(
         &self,
         snapshot: &Snapshot,
         check: impl FnOnce(&Baseline, &Snapshot) -> Result<Vec<String>, GateError>,
     ) {
-        let fail = |e: String| -> ! {
-            eprintln!("{e}");
-            std::process::exit(1);
-        };
-        let out = &self.out;
-        if let Err(e) = std::fs::write(out, snapshot.to_json()) {
-            fail(format!("cannot write {out}: {e}"));
+        if let Some(out) = &self.out {
+            if let Err(e) = std::fs::write(out, snapshot.to_json()) {
+                fail(format!("cannot write {out}: {e}"));
+            }
+            println!("\nsnapshot written to {out}");
         }
-        println!("\nsnapshot written to {out}");
-        let Some(path) = &self.check else { return };
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(format!("cannot read baseline {path}: {e}")));
-        let failures = Baseline::parse(&text)
-            .and_then(|baseline| check(&baseline, snapshot))
+        let Some((path, baseline)) = &self.check else {
+            return;
+        };
+        let failures = check(baseline, snapshot)
             .unwrap_or_else(|e| fail(format!("cannot check baseline {path}: {e}")));
         for f in &failures {
             eprintln!("REGRESSION: {f}");
@@ -429,7 +477,7 @@ mod tests {
     /// Failure lines of `measured` against a baseline written from `base`.
     fn gate(base: &[(&str, f64)], measured: &[(&str, f64)], cap: f64, ceiling: f64) -> Vec<String> {
         let baseline = Baseline::parse(&snapshot(base).to_json()).expect("parses");
-        check_speedups(&baseline, &snapshot(measured), cap, ceiling)
+        check_speedups(&baseline, &snapshot(measured), |_| cap, |_| ceiling)
     }
 
     const NONE: f64 = f64::INFINITY;
@@ -448,8 +496,8 @@ mod tests {
             (2.5, "g")
         );
         assert_eq!(base.memory(), Ok(&[("rss".to_string(), 688.2)][..]));
-        assert!(check_speedups(&base, &snap, 10.0, NONE).is_empty());
-        assert!(check_speedups(&base, &base.replay(), 10.0, NONE).is_empty());
+        assert!(check_speedups(&base, &snap, |_| 10.0, |_| NONE).is_empty());
+        assert!(check_speedups(&base, &base.replay(), |_| 10.0, |_| NONE).is_empty());
     }
 
     #[test]
@@ -499,7 +547,7 @@ mod tests {
 
     #[test]
     fn runner_floor_tracks_host_cores() {
-        // bench_runner's shape: cap 8x, ceiling 0.8 x effective parallelism.
+        // The runner rows' shape: cap 8x, ceiling 0.8 x host cores.
         let runner = |base, measured, cores: f64| {
             gate(&[("grid", base)], &[("grid", measured)], 8.0, 0.8 * cores)
         };
@@ -516,15 +564,19 @@ mod tests {
     fn cli_flags_parse_and_require_values() {
         let parse = |v: &[&str]| {
             let args: Vec<String> = v.iter().map(|s| s.to_string()).collect();
-            Cli::parse(&args, "BENCH_x.json").map(|c| (c.out, c.check))
+            parse_flags(&args, "BENCH_x.json")
         };
-        assert_eq!(parse(&["--jobs", "2"]), Ok(("BENCH_x.json".into(), None)));
+        let some = |s: &str| Some(s.to_string());
+        assert_eq!(parse(&[]), Ok((some("BENCH_x.json"), None)));
         assert_eq!(
             parse(&["--out=o.json", "--check", "b.json"]),
-            Ok(("o.json".into(), Some("b.json".into())))
+            Ok((some("o.json"), some("b.json")))
         );
+        // A check run writes nowhere unless --out says where.
+        assert_eq!(parse(&["--check", "b.json"]), Ok((None, some("b.json"))));
         assert!(parse(&["--check"]).is_err());
         assert!(parse(&["--check", "b.json", "--out"]).is_err());
+        assert!(parse(&["--jobs", "2"]).is_err());
     }
 
     #[test]

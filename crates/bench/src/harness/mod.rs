@@ -286,8 +286,9 @@ pub struct HarnessSpec {
     pub run: fn(&mut HarnessCtx) -> RunResult,
 }
 
-/// Every replayable harness. `bench_*` binaries measure wall clock and
-/// are deliberately absent: their output is machine-dependent.
+/// Every replayable harness. `bench_ledger` is deliberately absent: it
+/// measures wall clock, so its output is machine-dependent. Its
+/// end-to-end rows time harnesses of this registry instead.
 pub static REGISTRY: &[HarnessSpec] = &[
     HarnessSpec {
         name: "table1_csp",

@@ -3,12 +3,13 @@
 //! [`harness`] holds one module per paper table, figure or experiment;
 //! the `src/bin/*` wrappers run them through [`harness::HarnessCtx`],
 //! which owns banners, shared flags, `--trace` output and manifests.
-//! [`gate`] is the perf gate shared by the four seed-speedup baselines
-//! (`bench_fluid`, `bench_hotpath`, `bench_runner`, `bench_scale`).
-//! [`scale`] holds the shared tenant-scale workload driven by both
-//! `exp_scale` (correctness + determinism) and `bench_scale` (wall
-//! clock + peak memory).
+//! [`fluid`] holds the fluid-solver microbench scenarios.
+//! [`gate`] is the perf gate of `bench_ledger`, which re-measures every
+//! seed-speedup claim into `BENCH.json`. [`scale`] holds the shared
+//! tenant-scale workload driven by both `exp_scale` (correctness +
+//! determinism) and `bench_ledger` (wall clock + peak memory).
 
+pub mod fluid;
 pub mod gate;
 pub mod harness;
 pub mod manifest;
@@ -62,7 +63,7 @@ pub fn trace_path_from(args: &[String]) -> Option<std::path::PathBuf> {
 /// `N` is the worker count for the deterministic scenario runner
 /// (`osdc_sim::Runner`); artifacts are byte-identical for any value.
 /// Absent the flag, harnesses default to the host's parallelism
-/// ([`osdc_sim::available_jobs`]); timing-sensitive benches default to 1.
+/// ([`osdc_sim::available_jobs`]).
 pub fn jobs_from(args: &[String], default: usize) -> usize {
     let jobs = flag_value(args, "--jobs", "a worker count argument").unwrap_or_else(usage_error);
     let parse = |s: &str| -> usize {

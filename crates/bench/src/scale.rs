@@ -1,5 +1,5 @@
 //! Shared workload for the tenant-scale pass: `exp_scale` (determinism
-//! and correctness) and `bench_scale` (wall clock and peak memory) must
+//! and correctness) and `bench_ledger` (wall clock and peak memory) must
 //! bill the *same* randomized world, so the schedule generator and the
 //! two billing drivers live here.
 //!

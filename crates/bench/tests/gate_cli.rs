@@ -1,23 +1,31 @@
-//! The perf-gate binaries reject a `--out` or `--check` flag that has no
-//! value with exit status 2, before measuring anything. A dropped value
-//! used to read as "no check requested", so the gate silently passed.
+//! `bench_ledger` rejects bad flags (exit 2) and an unreadable baseline
+//! (exit 1) before it measures anything. A dropped flag value used to
+//! read as "no check requested", so the gate silently passed; a missing
+//! baseline used to surface only after the whole suite had run.
 
 use std::process::Command;
 
 #[test]
-fn gate_flag_without_a_value_exits_2() {
-    for bin in [
-        env!("CARGO_BIN_EXE_bench_fluid"),
-        env!("CARGO_BIN_EXE_bench_hotpath"),
-        env!("CARGO_BIN_EXE_bench_runner"),
-        env!("CARGO_BIN_EXE_bench_scale"),
+fn bad_flags_and_baselines_exit_before_measuring() {
+    for (args, code, message) in [
+        (&["--check"][..], 2, "requires a path argument"),
+        (
+            &["--check", "b.json", "--out"],
+            2,
+            "requires a path argument",
+        ),
+        (&["--jobs", "2"], 2, "unknown argument"),
+        (
+            &["--check", "no/such/BENCH.json"],
+            1,
+            "cannot read baseline",
+        ),
     ] {
-        for args in [&["--check"][..], &["--check", "BENCH_x.json", "--out"]] {
-            let out = Command::new(bin).args(args).output().expect("spawns");
-            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(stderr.contains("requires a path argument"), "{stderr}");
-            assert!(out.stdout.is_empty(), "{bin} measured before rejecting");
-        }
+        let bin = env!("CARGO_BIN_EXE_bench_ledger");
+        let out = Command::new(bin).args(args).output().expect("spawns");
+        assert_eq!(out.status.code(), Some(code), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{stderr}");
+        assert!(out.stdout.is_empty(), "measured before rejecting {args:?}");
     }
 }
